@@ -121,9 +121,6 @@ class MolGraph:
     def bond(self, i: int, j: int) -> BondOrder | None:
         return self._bonds.get(_bond_key(i, j))
 
-    def bond_order_sum(self, i: int) -> float:
-        return sum(self._bonds[_bond_key(i, j)].valence for j in self._adj[i])
-
     def aromatic_bond_count(self, i: int) -> int:
         return sum(
             1 for j in self._adj[i] if self._bonds[_bond_key(i, j)] is BondOrder.AROMATIC

@@ -21,13 +21,11 @@ from .sampler import (
     GeneratedEntry,
     GenerationReport,
     extend_scaffold,
-    forward_sample,
     generate_scaffold_extensions,
     posterior_distributions,
-    posterior_step,
     sample_prior,
 )
-from .schedule import CosineSchedule, mixing_matrix, transition
+from .schedule import CosineSchedule, mixing_matrix
 
 __all__ = [
     "CosineSchedule",
@@ -47,11 +45,8 @@ __all__ = [
     "decode_graph",
     "encode_molecule",
     "extend_scaffold",
-    "forward_sample",
     "generate_scaffold_extensions",
     "mixing_matrix",
     "posterior_distributions",
-    "posterior_step",
     "sample_prior",
-    "transition",
 ]

@@ -28,7 +28,7 @@ import numpy as np
 from ..chem.graph import MolGraph
 from ..chem.valence import check_valence
 from .denoisers import Denoiser, DenoiserOutput
-from .marginals import EDGE_NONE, Marginals, decode_graph, encode_molecule
+from .marginals import Marginals, decode_graph, encode_molecule
 from .schedule import CosineSchedule, mixing_matrix
 
 __all__ = [
@@ -36,10 +36,8 @@ __all__ = [
     "GenerationReport",
     "GeneratedEntry",
     "extend_scaffold",
-    "forward_sample",
     "generate_scaffold_extensions",
     "posterior_distributions",
-    "posterior_step",
     "sample_prior",
 ]
 
@@ -114,27 +112,6 @@ def sample_prior(
     return nodes.astype(np.int64), edges
 
 
-def forward_sample(
-    nodes: np.ndarray,
-    edges: np.ndarray,
-    t: int,
-    marginals: Marginals,
-    schedule: CosineSchedule,
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Corrupt a clean graph to step ``t`` in one shot via Qbar_t."""
-    qx = mixing_matrix(schedule.alpha_bar(t), marginals.node_prior)
-    qe = mixing_matrix(schedule.alpha_bar(t), marginals.edge_prior)
-    noisy_nodes = _sample_rows(qx[nodes], rng).astype(np.int64)
-    n = len(nodes)
-    iu, ju = _upper_indices(n)
-    noisy_pairs = _sample_rows(qe[edges[iu, ju]], rng).astype(np.int64)
-    noisy_edges = np.zeros_like(edges)
-    noisy_edges[iu, ju] = noisy_pairs
-    noisy_edges[ju, iu] = noisy_pairs
-    return noisy_nodes, noisy_edges
-
-
 def _posterior(
     current: np.ndarray,
     pred: np.ndarray,
@@ -190,14 +167,18 @@ def posterior_distributions(
     return node_post, edge_post
 
 
-def posterior_step(
+def _reverse_step(
     state: DiffusionState,
     pred: DenoiserOutput,
     marginals: Marginals,
     schedule: CosineSchedule,
     rng: np.random.Generator,
-) -> DiffusionState:
-    """Sample the graph at t-1 and re-apply the scaffold overwrite."""
+) -> tuple[DiffusionState, np.ndarray, np.ndarray]:
+    """Sample the graph at t-1 (nodes, then pairs) and re-apply the scaffold.
+
+    Returns the new state with the node and pair posterior rows it was
+    drawn from.
+    """
     node_post, edge_post = posterior_distributions(state, pred, marginals, schedule)
     n = state.n_nodes
     nodes = _sample_rows(node_post, rng).astype(np.int64)
@@ -206,7 +187,8 @@ def posterior_step(
     iu, ju = _upper_indices(n)
     edges[iu, ju] = pair_draws
     edges[ju, iu] = pair_draws
-    return replace(state, t=state.t - 1, nodes=nodes, edges=edges).anchored()
+    state = replace(state, t=state.t - 1, nodes=nodes, edges=edges).anchored()
+    return state, node_post, edge_post
 
 
 def _draw_size(n_scaffold: int, marginals: Marginals, rng: np.random.Generator) -> int:
@@ -280,15 +262,7 @@ def extend_scaffold(
     state = _initial_state(scaffold, n_total, marginals, schedule, rng)
     while state.t > 0:
         pred = denoiser.denoise(state.t, state.nodes, state.edges)
-        node_post, edge_post = posterior_distributions(state, pred, marginals, schedule)
-        n = state.n_nodes
-        nodes = _sample_rows(node_post, rng).astype(np.int64)
-        pair_draws = _sample_rows(edge_post, rng).astype(np.int64)
-        edges = np.zeros((n, n), dtype=np.int64)
-        iu, ju = _upper_indices(n)
-        edges[iu, ju] = pair_draws
-        edges[ju, iu] = pair_draws
-        state = replace(state, t=state.t - 1, nodes=nodes, edges=edges).anchored()
+        state, node_post, edge_post = _reverse_step(state, pred, marginals, schedule, rng)
         if on_step is not None:
             on_step(state, node_post, edge_post)
     return _decode_extension(state, scaffold, marginals)

@@ -22,9 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .marginals import Marginals
-
-__all__ = ["CosineSchedule", "mixing_matrix", "transition"]
+__all__ = ["CosineSchedule", "mixing_matrix"]
 
 DEFAULT_TIMESTEPS = 50
 _SHIFT = 0.008
@@ -59,14 +57,3 @@ def mixing_matrix(retention: float, prior: np.ndarray) -> np.ndarray:
     """retention * I + (1 - retention) * ones prior^T; rows sum to one."""
     k = len(prior)
     return retention * np.eye(k) + (1.0 - retention) * np.tile(prior, (k, 1))
-
-
-def transition(
-    t: int, marginals: Marginals, schedule: CosineSchedule
-) -> tuple[np.ndarray, np.ndarray]:
-    """Cumulative node and edge transition matrices at step ``t``."""
-    retention = schedule.alpha_bar(t)
-    return (
-        mixing_matrix(retention, marginals.node_prior),
-        mixing_matrix(retention, marginals.edge_prior),
-    )

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -31,8 +31,6 @@ __all__ = [
     "WidthMismatch",
     "ecfp",
     "fingerprint_matrix",
-    "load_fingerprint_cache",
-    "save_fingerprint_cache",
     "tanimoto",
 ]
 
@@ -64,9 +62,6 @@ class Fingerprint:
     def popcount(self) -> int:
         return self.bits.bit_count()
 
-    def on_bits(self) -> tuple[int, ...]:
-        return tuple(k for k in range(self.nbits) if (self.bits >> k) & 1)
-
     def to_array(self) -> np.ndarray:
         out = np.zeros(self.nbits, dtype=np.float64)
         bits = self.bits
@@ -78,10 +73,6 @@ class Fingerprint:
 
     def to_hex(self) -> str:
         return f"{self.bits:0{self.nbits // 4}x}"
-
-    @classmethod
-    def from_hex(cls, text: str, radius: int = DEFAULT_RADIUS) -> "Fingerprint":
-        return cls(bits=int(text, 16), nbits=len(text) * 4, radius=radius)
 
 
 def _hash64(*values: int) -> int:
@@ -151,25 +142,6 @@ def tanimoto(x: Fingerprint, y: Fingerprint) -> float:
     if union == 0:
         return 1.0
     return (x.bits & y.bits).bit_count() / union
-
-
-def save_fingerprint_cache(path, entries: Iterable[tuple[str, Fingerprint]]) -> None:
-    """Write ``id,hex`` lines; one fingerprint per record."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for record_id, fp in entries:
-            fh.write(f"{record_id},{fp.to_hex()}\n")
-
-
-def load_fingerprint_cache(path, radius: int = DEFAULT_RADIUS) -> dict[str, Fingerprint]:
-    out: dict[str, Fingerprint] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            record_id, _, hex_part = line.rpartition(",")
-            out[record_id] = Fingerprint.from_hex(hex_part, radius=radius)
-    return out
 
 
 def fingerprint_matrix(fps: Sequence[Fingerprint]) -> np.ndarray:

@@ -9,40 +9,28 @@ an INI file; explicit flags win over file values.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from ..chem import ParseError, parse_smiles
+from ..chem import MolGraph, ParseError, parse_smiles
 from ..metrics import RankedList, write_metric_report
-from ..rerank import EmptyCandidates, build_candidates, candidate_fingerprint, lambda_sweep, write_sweep_csv
-from ..selftrain import (
-    LabeledSet,
-    SelfTrainConfig,
-    load_checkpoint,
-    predict,
-    save_checkpoint,
-    self_train,
-    write_history_csv,
-)
+from ..selftrain import load_checkpoint, predict
 from .config import ConfigError, RunConfig, load_config, resolve_overrides
-from .ingest import HeaderError, ingest
+from .ingest import AssayRecord, HeaderError, ingest
 from .runner import (
-    _cell_metrics,
-    _read_scores_csv,
-    _write_generated_csv,
-    _write_generation_report,
-    _write_scores_csv,
-    augment_split,
+    cell_metrics,
     derive_seed,
+    read_generated_pool,
+    read_scores_csv,
     rebuild_report,
+    rerank_cell,
     run_experiment,
+    train_cell,
+    write_augmentation,
+    write_scores_csv,
 )
 from .splits import SplitPlan, TooFewScaffolds, make_splits
-from ..sampling import write_library_csv
 
 _KNOWN_ERRORS = (
     ConfigError,
@@ -96,82 +84,45 @@ def cmd_split(args: argparse.Namespace) -> int:
     return 0
 
 
+def _folds(config: RunConfig, args: argparse.Namespace) -> dict[str, list[AssayRecord]]:
+    """Records of each fold of the split named by --splits and --split-index."""
+    by_id = {r.record_id: r for r in ingest(config.assay).records}
+    split = SplitPlan.from_json(args.splits).splits[args.split_index]
+    return {
+        "train": [by_id[i] for i in split.train_ids],
+        "valid": [by_id[i] for i in split.valid_ids],
+        "test": [by_id[i] for i in split.test_ids],
+    }
+
+
+def _read_cell(path: Path) -> tuple[RankedList, dict[str, MolGraph]]:
+    """The ranking of a scores file and its molecules by record id."""
+    rows = read_scores_csv(path)
+    ranked = RankedList.from_records((r, s, y) for r, _, s, y in rows)
+    return ranked, {r: parse_smiles(smi) for r, smi, _, _ in rows}
+
+
 def cmd_augment(args: argparse.Namespace) -> int:
     config = _resolve(args)
-    assay = ingest(config.assay)
-    by_id = {r.record_id: r for r in assay.records}
-    plan = SplitPlan.from_json(args.splits)
-    split = plan.splits[args.split_index]
-    train_records = [by_id[i] for i in split.train_ids]
     seed = derive_seed(config.seed, "augment", args.split_index)
-    products = augment_split(train_records, config, seed)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    if products.library is not None:
-        write_library_csv(out / "library.csv", products.library)
-    _write_generated_csv(out / "generated.csv", products.entries)
-    _write_generation_report(out / "generation_report.json", products)
+    products = write_augmentation(out, _folds(config, args)["train"], config, seed)
     total = products.report.total if products.report else 0
     n_valid = products.report.n_valid if products.report else 0
     print(f"generated {total} molecules, {n_valid} valid; artifacts in {out}")
     return 0
 
 
-def _read_pool(path: str | None) -> tuple[list[str], list]:
-    if not path:
-        return [], []
-    ids: list[str] = []
-    mols = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for row in reader:
-            if int(row[3]):
-                ids.append(row[0])
-                mols.append(parse_smiles(row[1]))
-    return ids, mols
-
-
 def cmd_train(args: argparse.Namespace) -> int:
     config = _resolve(args)
-    assay = ingest(config.assay)
-    by_id = {r.record_id: r for r in assay.records}
-    plan = SplitPlan.from_json(args.splits)
-    split = plan.splits[args.split_index]
-    train_records = [by_id[i] for i in split.train_ids]
-    valid_records = [by_id[i] for i in split.valid_ids]
-    pool_ids, pool = _read_pool(None if args.no_augment else args.generated)
+    folds = _folds(config, args)
+    pool_ids, pool = [], []
+    if args.generated:
+        pool_ids, pool = read_generated_pool(Path(args.generated))
     seed = derive_seed(config.seed, "train", args.split_index, args.eval_index)
-    labeled = LabeledSet(
-        ids=tuple(r.record_id for r in train_records),
-        molecules=tuple(r.mol for r in train_records),
-        labels=np.array([r.label for r in train_records], dtype=np.int64),
-        origin="original",
+    _, history = train_cell(
+        Path(args.out), folds["train"], folds["valid"], pool_ids, pool, config, seed
     )
-    validation = LabeledSet(
-        ids=tuple(r.record_id for r in valid_records),
-        molecules=tuple(r.mol for r in valid_records),
-        labels=np.array([r.label for r in valid_records], dtype=np.int64),
-        origin="original",
-    )
-    train_config = SelfTrainConfig(
-        epochs=config.epochs,
-        warmup_epochs=config.warmup_epochs,
-        refresh_period=config.refresh_period,
-        confidence_threshold=config.confidence_threshold,
-        learning_rate=config.learning_rate,
-        l2_penalty=config.l2_penalty,
-        batch_size=config.batch_size,
-        lr_decay_power=config.lr_decay_power,
-        radius=config.radius,
-        nbits=config.nbits,
-        seed=seed,
-    )
-    model, history = self_train(labeled, pool_ids, pool, validation, train_config)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    save_checkpoint(out / "model.json", model)
-    write_history_csv(out / "history.csv", history)
     best = max(history, key=lambda h: h.val_bedroc)
     print(f"trained {len(history)} epochs, best validation bedroc {best.val_bedroc:.4f}")
     return 0
@@ -180,20 +131,12 @@ def cmd_train(args: argparse.Namespace) -> int:
 def cmd_score(args: argparse.Namespace) -> int:
     config = _resolve(args)
     model = load_checkpoint(args.model)
-    assay = ingest(config.assay)
-    records = list(assay.records)
     if args.splits:
-        by_id = {r.record_id: r for r in assay.records}
-        plan = SplitPlan.from_json(args.splits)
-        split = plan.splits[args.split_index]
-        fold_ids = {
-            "train": split.train_ids,
-            "valid": split.valid_ids,
-            "test": split.test_ids,
-        }[args.fold]
-        records = [by_id[i] for i in fold_ids]
+        records = _folds(config, args)[args.fold]
+    else:
+        records = list(ingest(config.assay).records)
     scores = predict(model, [r.mol for r in records])
-    _write_scores_csv(
+    write_scores_csv(
         args.out,
         [(r.record_id, r.smiles, float(s), r.label) for r, s in zip(records, scores)],
     )
@@ -203,11 +146,9 @@ def cmd_score(args: argparse.Namespace) -> int:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     config = _resolve(args)
-    rows = _read_scores_csv(Path(args.scores))
-    ranked = RankedList.from_records((r, s, y) for r, _, s, y in rows)
-    mols_by_id = {r: parse_smiles(smi) for r, smi, _, _ in rows}
+    ranked, mols_by_id = _read_cell(Path(args.scores))
     notes: list[str] = []
-    values = _cell_metrics(ranked, mols_by_id, config, notes, args.scores)
+    values = cell_metrics(ranked, mols_by_id, config, notes, args.scores)
     write_metric_report(args.out, values)
     for note in notes:
         print(f"note: {note}", file=sys.stderr)
@@ -217,35 +158,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 def cmd_rerank(args: argparse.Namespace) -> int:
     config = _resolve(args)
-    rows = _read_scores_csv(Path(args.scores))
-    ranked = RankedList.from_records((r, s, y) for r, _, s, y in rows)
-    smiles_by_id = {r: smi for r, smi, _, _ in rows}
-    fps = [
-        candidate_fingerprint(
-            parse_smiles(smiles_by_id[i]), radius=config.radius, nbits=config.nbits
-        )
-        for i in ranked.ids
-    ]
-    try:
-        candidates = build_candidates(
-            ranked.ids,
-            [float(s) for s in ranked.scores],
-            fps,
-            cap=config.candidate_cap,
-        )
-    except EmptyCandidates:
-        write_sweep_csv(args.out, [])
-        print("no positive scores; wrote an empty sweep", file=sys.stderr)
-        return 0
-    if candidates.size < config.top_k:
-        write_sweep_csv(args.out, [])
-        print(
-            f"only {candidates.size} candidates for k={config.top_k}; wrote an empty sweep",
-            file=sys.stderr,
-        )
-        return 0
-    sweep = lambda_sweep(ranked, candidates, config.lambda_grid, k=config.top_k)
-    write_sweep_csv(args.out, sweep)
+    ranked, mols_by_id = _read_cell(Path(args.scores))
+    _, note = rerank_cell(Path(args.out), ranked, mols_by_id, config)
+    if note is not None:
+        print(f"note: {args.scores}: {note}", file=sys.stderr)
     print(f"wrote {args.out}")
     return 0
 

@@ -25,7 +25,6 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-import logging
 import platform
 import shlex
 from dataclasses import dataclass
@@ -45,7 +44,7 @@ from ..diffusion import (
     compute_marginals,
     generate_scaffold_extensions,
 )
-from ..fingerprints import ecfp, fingerprint_matrix
+from ..fingerprints import Fingerprint, ecfp, fingerprint_matrix
 from ..metrics import (
     DegenerateLabels,
     RankedList,
@@ -74,6 +73,8 @@ from ..sampling import (
     write_library_csv,
 )
 from ..selftrain import (
+    EpochRecord,
+    FingerprintClassifier,
     LabeledSet,
     SelfTrainConfig,
     predict,
@@ -85,9 +86,20 @@ from .config import RunConfig, dump_config, load_config
 from .ingest import Assay, AssayRecord, ingest
 from .splits import make_splits
 
-__all__ = ["AugmentProducts", "run_experiment", "rebuild_report", "derive_seed"]
-
-logger = logging.getLogger(__name__)
+__all__ = [
+    "AugmentProducts",
+    "augment_split",
+    "cell_metrics",
+    "derive_seed",
+    "read_generated_pool",
+    "read_scores_csv",
+    "rebuild_report",
+    "rerank_cell",
+    "run_experiment",
+    "train_cell",
+    "write_augmentation",
+    "write_scores_csv",
+]
 
 
 def derive_seed(root: int, *parts: int | str) -> int:
@@ -244,6 +256,84 @@ def _single_cluster(fps) -> ClusterModel:
     )
 
 
+def write_augmentation(
+    out_dir: Path,
+    train_records: Sequence[AssayRecord],
+    config: RunConfig,
+    seed: int,
+) -> AugmentProducts:
+    """Augment one split and write its library.csv, generated.csv and report.
+
+    ``library.csv`` is left out when no library was drawn.
+    """
+    products = augment_split(train_records, config, seed)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    if products.library is not None:
+        write_library_csv(out_dir / "library.csv", products.library)
+    _write_generated_csv(out_dir / "generated.csv", products.entries)
+    _write_generation_report(out_dir / "generation_report.json", products)
+    return products
+
+
+def read_generated_pool(path: Path) -> tuple[list[str], list[MolGraph]]:
+    """Ids and molecules of the valid rows of a generated.csv."""
+    ids: list[str] = []
+    mols: list[MolGraph] = []
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        for row in reader:
+            if int(row[3]):
+                ids.append(row[0])
+                mols.append(parse_smiles(row[1]))
+    return ids, mols
+
+
+def _labeled_set(records: Sequence[AssayRecord]) -> LabeledSet:
+    return LabeledSet(
+        ids=tuple(r.record_id for r in records),
+        molecules=tuple(r.mol for r in records),
+        labels=np.array([r.label for r in records], dtype=np.int64),
+        origin="original",
+    )
+
+
+def train_cell(
+    out_dir: Path,
+    train_records: Sequence[AssayRecord],
+    valid_records: Sequence[AssayRecord],
+    pool_ids: Sequence[str],
+    pool: Sequence[MolGraph],
+    config: RunConfig,
+    seed: int,
+) -> tuple[FingerprintClassifier, list[EpochRecord]]:
+    """Self-train one cell under ``config`` and write model.json and history.csv."""
+    train_config = SelfTrainConfig(
+        epochs=config.epochs,
+        warmup_epochs=config.warmup_epochs,
+        refresh_period=config.refresh_period,
+        confidence_threshold=config.confidence_threshold,
+        learning_rate=config.learning_rate,
+        l2_penalty=config.l2_penalty,
+        batch_size=config.batch_size,
+        lr_decay_power=config.lr_decay_power,
+        radius=config.radius,
+        nbits=config.nbits,
+        seed=seed,
+    )
+    model, history = self_train(
+        _labeled_set(train_records),
+        pool_ids,
+        pool,
+        _labeled_set(valid_records),
+        train_config,
+    )
+    out_dir.mkdir(parents=True, exist_ok=True)
+    save_checkpoint(out_dir / "model.json", model)
+    write_history_csv(out_dir / "history.csv", history)
+    return model, history
+
+
 def _write_generated_csv(path: Path, entries: Sequence[GeneratedEntry]) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -281,7 +371,7 @@ def _write_generation_report(path: Path, products: AugmentProducts) -> None:
         fh.write("\n")
 
 
-def _write_scores_csv(path: Path, rows: Sequence[tuple[str, str, float, int]]) -> None:
+def write_scores_csv(path: Path, rows: Sequence[tuple[str, str, float, int]]) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["id", "smiles", "score", "label"])
@@ -289,7 +379,7 @@ def _write_scores_csv(path: Path, rows: Sequence[tuple[str, str, float, int]]) -
             writer.writerow([record_id, smiles, repr(float(score)), label])
 
 
-def _cell_metrics(
+def cell_metrics(
     ranked: RankedList,
     mols_by_id: dict[str, MolGraph],
     config: RunConfig,
@@ -317,46 +407,38 @@ def _cell_metrics(
     return values
 
 
-def _rerank_cell(
-    cell_dir: Path,
+def rerank_cell(
+    path: Path,
     ranked: RankedList,
     mols_by_id: dict[str, MolGraph],
     config: RunConfig,
-    notes: list[str],
-    where: str,
-):
-    """Write rerank.csv for one cell; returns the sweep or None."""
-    fps = [
-        candidate_fingerprint(mols_by_id[i], radius=config.radius, nbits=config.nbits)
-        for i in ranked.ids
-    ]
-    path = cell_dir / "rerank.csv"
+) -> tuple[list[LambdaReport] | None, str | None]:
+    """Write one cell's rerank sweep to ``path``.
+
+    Returns the sweep, or None with the reason the rerank was skipped, in
+    which case the file holds only the header. Only the kept candidates are
+    fingerprinted, and none when the cell skips.
+    """
+
+    def fingerprint_of(record_id: str) -> Fingerprint:
+        return candidate_fingerprint(
+            mols_by_id[record_id], radius=config.radius, nbits=config.nbits
+        )
+
     try:
         candidates = build_candidates(
-            ranked.ids, [float(s) for s in ranked.scores], fps, cap=config.candidate_cap
+            ranked.ids,
+            [float(s) for s in ranked.scores],
+            fingerprint_of,
+            cap=config.candidate_cap,
+            min_size=config.top_k,
         )
-    except EmptyCandidates:
-        write_sweep_csv(path, [])
-        notes.append(f"{where}: no positive scores, rerank skipped")
-        return None
-    if candidates.size < config.top_k:
-        write_sweep_csv(path, [])
-        notes.append(
-            f"{where}: only {candidates.size} candidates for k={config.top_k}, rerank skipped"
-        )
-        return None
-    try:
         sweep = lambda_sweep(ranked, candidates, config.lambda_grid, k=config.top_k)
-    except DegenerateLabels as exc:
+    except (EmptyCandidates, DegenerateLabels) as exc:
         write_sweep_csv(path, [])
-        notes.append(f"{where}: {exc}, rerank skipped")
-        return None
+        return None, f"{exc}, rerank skipped"
     write_sweep_csv(path, sweep)
-    return sweep
-
-
-def _fold_records(assay_by_id: dict[str, AssayRecord], ids: Sequence[str]) -> list[AssayRecord]:
-    return [assay_by_id[i] for i in ids]
+    return sweep, None
 
 
 def run_experiment(config: RunConfig, run_dir: str | Path | None = None) -> Path:
@@ -389,21 +471,17 @@ def run_experiment(config: RunConfig, run_dir: str | Path | None = None) -> Path
 
     for i, split in enumerate(plan.splits):
         split_dir = run_dir / "splits" / f"split{i}"
-        split_dir.mkdir(parents=True, exist_ok=True)
-        train_records = _fold_records(by_id, split.train_ids)
-        valid_records = _fold_records(by_id, split.valid_ids)
-        test_records = _fold_records(by_id, split.test_ids)
+        train_records = [by_id[rid] for rid in split.train_ids]
+        valid_records = [by_id[rid] for rid in split.valid_ids]
+        test_records = [by_id[rid] for rid in split.test_ids]
+        mols_by_id = {r.record_id: r.mol for r in test_records}
 
         pool_ids: list[str] = []
         pool: list[MolGraph] = []
         if config.augment_enabled:
             aug_seed = derive_seed(config.seed, "augment", i)
             augment_seeds[str(i)] = aug_seed
-            products = augment_split(train_records, config, aug_seed)
-            if products.library is not None:
-                write_library_csv(split_dir / "library.csv", products.library)
-            _write_generated_csv(split_dir / "generated.csv", products.entries)
-            _write_generation_report(split_dir / "generation_report.json", products)
+            products = write_augmentation(split_dir, train_records, config, aug_seed)
             if products.note:
                 notes.append(f"split{i}: {products.note}")
             pool_ids = products.pool_ids
@@ -412,68 +490,34 @@ def run_experiment(config: RunConfig, run_dir: str | Path | None = None) -> Path
                 (f"s{i}_{pid}", mol) for pid, mol in zip(pool_ids, pool)
             )
 
-        labeled = LabeledSet(
-            ids=tuple(r.record_id for r in train_records),
-            molecules=tuple(r.mol for r in train_records),
-            labels=np.array([r.label for r in train_records], dtype=np.int64),
-            origin="original",
-        )
-        validation = LabeledSet(
-            ids=tuple(r.record_id for r in valid_records),
-            molecules=tuple(r.mol for r in valid_records),
-            labels=np.array([r.label for r in valid_records], dtype=np.int64),
-            origin="original",
-        )
-
         train_seeds[str(i)] = []
         for j in range(config.eval_seeds):
             cell_dir = split_dir / f"seed{j}"
-            cell_dir.mkdir(exist_ok=True)
             cell_seed = derive_seed(config.seed, "train", i, j)
             train_seeds[str(i)].append(cell_seed)
-            train_config = SelfTrainConfig(
-                epochs=config.epochs,
-                warmup_epochs=config.warmup_epochs,
-                refresh_period=config.refresh_period,
-                confidence_threshold=config.confidence_threshold,
-                learning_rate=config.learning_rate,
-                l2_penalty=config.l2_penalty,
-                batch_size=config.batch_size,
-                lr_decay_power=config.lr_decay_power,
-                radius=config.radius,
-                nbits=config.nbits,
-                seed=cell_seed,
+            model, _ = train_cell(
+                cell_dir, train_records, valid_records, pool_ids, pool, config, cell_seed
             )
-            model, history = self_train(labeled, pool_ids, pool, validation, train_config)
-            save_checkpoint(cell_dir / "model.json", model)
-            write_history_csv(cell_dir / "history.csv", history)
 
             test_scores = predict(model, [r.mol for r in test_records])
-            _write_scores_csv(
-                cell_dir / "scores.csv",
-                [
-                    (r.record_id, r.smiles, float(s), r.label)
-                    for r, s in zip(test_records, test_scores)
-                ],
-            )
-            ranked = RankedList.from_records(
-                (r.record_id, float(s), r.label)
+            rows = [
+                (r.record_id, r.smiles, float(s), r.label)
                 for r, s in zip(test_records, test_scores)
-            )
-            mols_by_id = {r.record_id: r.mol for r in test_records}
+            ]
+            write_scores_csv(cell_dir / "scores.csv", rows)
+            ranked = RankedList.from_records((r, s, y) for r, _, s, y in rows)
             where = f"split{i}/seed{j}"
-            values = _cell_metrics(ranked, mols_by_id, config, notes, where)
+            values = cell_metrics(ranked, mols_by_id, config, notes, where)
             write_metric_report(cell_dir / "metrics.json", values)
             cell_rows.append((i, j, values))
 
-            sweep = _rerank_cell(cell_dir, ranked, mols_by_id, config, notes, where)
-            if sweep is not None:
+            sweep, note = rerank_cell(cell_dir / "rerank.csv", ranked, mols_by_id, config)
+            if sweep is None:
+                notes.append(f"{where}: {note}")
+            else:
                 sweeps.append(sweep)
 
-            pooled_rows[j].extend(
-                (r.record_id, float(s), r.label)
-                for r, s in zip(test_records, test_scores)
-            )
+            pooled_rows[j].extend((r, s, y) for r, _, s, y in rows)
 
     _write_report(
         run_dir,
@@ -529,7 +573,7 @@ def _write_report(
         rows = pooled_rows[j]
         ranked = RankedList.from_records(rows)
         mols = {rid: by_id[rid].mol for rid, _, _ in rows}
-        values = _cell_metrics(ranked, mols, config, pool_notes, f"pooled/seed{j}")
+        values = cell_metrics(ranked, mols, config, pool_notes, f"pooled/seed{j}")
         pooled_payload["per_seed"].append(
             {"seed": j, **{name: round(values[name], 6) for name in values}}
         )
@@ -584,7 +628,7 @@ def _write_report(
         fh.write("\n")
 
 
-def _read_scores_csv(path: Path) -> list[tuple[str, str, float, int]]:
+def read_scores_csv(path: Path) -> list[tuple[str, str, float, int]]:
     rows: list[tuple[str, str, float, int]] = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -626,21 +670,17 @@ def rebuild_report(run_dir: str | Path) -> Path:
         i = int(split_dir.name[len("split"):])
         generated = split_dir / "generated.csv"
         if generated.exists():
-            with open(generated, "r", encoding="utf-8", newline="") as fh:
-                reader = csv.reader(fh)
-                next(reader)
-                for row in reader:
-                    if int(row[3]):
-                        generated_for_umap.append(
-                            (f"s{i}_{row[0]}", parse_smiles(row[1]))
-                        )
+            pool_ids, pool = read_generated_pool(generated)
+            generated_for_umap.extend(
+                (f"s{i}_{pid}", mol) for pid, mol in zip(pool_ids, pool)
+            )
         for cell_dir in sorted(split_dir.glob("seed*")):
             j = int(cell_dir.name[len("seed"):])
-            rows = _read_scores_csv(cell_dir / "scores.csv")
+            rows = read_scores_csv(cell_dir / "scores.csv")
             ranked = RankedList.from_records((r, s, y) for r, _, s, y in rows)
             mols_by_id = {r: by_id[r].mol for r, _, _, _ in rows}
             where = f"split{i}/seed{j}"
-            values = _cell_metrics(ranked, mols_by_id, config, notes, where)
+            values = cell_metrics(ranked, mols_by_id, config, notes, where)
             write_metric_report(cell_dir / "metrics.json", values)
             cell_rows.append((i, j, values))
             sweep = _read_sweep_csv(cell_dir / "rerank.csv")

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -48,15 +47,6 @@ class Split:
     train_ids: tuple[str, ...]
     valid_ids: tuple[str, ...]
     test_ids: tuple[str, ...]
-
-    def fold_of(self, record_id: str) -> str:
-        if record_id in set(self.train_ids):
-            return "train"
-        if record_id in set(self.valid_ids):
-            return "valid"
-        if record_id in set(self.test_ids):
-            return "test"
-        raise KeyError(record_id)
 
 
 @dataclass(frozen=True)

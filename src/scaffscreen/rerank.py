@@ -14,7 +14,7 @@ original score order is reproduced exactly; the first pick never depends
 on lambda.
 
 Whole-molecule fingerprints can be substituted for scaffold fingerprints
-via ``build_candidates(..., use_scaffold=False)`` for comparison runs.
+via ``candidate_fingerprint(..., use_scaffold=False)`` for comparison runs.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -49,7 +49,7 @@ DEFAULT_LAMBDA_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
 
 
 class EmptyCandidates(ValueError):
-    """No record scored positive; reranking has nothing to work with."""
+    """Too few records scored positive for reranking to work with."""
 
 
 @dataclass(frozen=True)
@@ -88,23 +88,35 @@ def candidate_fingerprint(
 def build_candidates(
     ids: Sequence[str],
     scores: Sequence[float],
-    fingerprints: Sequence[Fingerprint],
+    fingerprints: Sequence[Fingerprint] | Callable[[str], Fingerprint],
     cap: int = DEFAULT_CANDIDATE_CAP,
+    min_size: int = 1,
 ) -> CandidateSet:
-    """Filter to positive scores, sort descending (stable), truncate to ``cap``."""
-    if not (len(ids) == len(scores) == len(fingerprints)):
+    """Filter to positive scores, sort descending (stable), truncate to ``cap``.
+
+    ``fingerprints`` is either aligned with ``ids`` or a function from a
+    record id to its fingerprint. The function is called only for the kept
+    candidates, and only once at least ``min_size`` of them are kept;
+    fewer raise :class:`EmptyCandidates`.
+    """
+    lazy = callable(fingerprints)
+    if len(ids) != len(scores) or not (lazy or len(fingerprints) == len(ids)):
         raise ValueError("ids, scores and fingerprints must align")
     if cap < 1:
         raise ValueError("cap must be positive")
     positive = [k for k, s in enumerate(scores) if s > 0.0]
     if not positive:
-        raise EmptyCandidates("no record has a positive score")
+        raise EmptyCandidates("no positive scores")
     positive.sort(key=lambda k: -scores[k])
     positive = positive[:cap]
+    if len(positive) < min_size:
+        raise EmptyCandidates(f"only {len(positive)} candidates for k={min_size}")
     return CandidateSet(
         ids=tuple(ids[k] for k in positive),
         scores=np.array([scores[k] for k in positive], dtype=np.float64),
-        fingerprints=tuple(fingerprints[k] for k in positive),
+        fingerprints=tuple(
+            fingerprints(ids[k]) if lazy else fingerprints[k] for k in positive
+        ),
     )
 
 

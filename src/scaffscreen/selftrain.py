@@ -47,7 +47,6 @@ __all__ = [
     "pseudo_label",
     "save_checkpoint",
     "self_train",
-    "train_epoch",
     "write_history_csv",
 ]
 
@@ -178,22 +177,6 @@ def _run_epoch_on_features(
         model.bias = model.bias - learning_rate * grad_b
         losses.append(loss)
     return float(np.mean(losses))
-
-
-def train_epoch(
-    model: FingerprintClassifier,
-    data: LabeledSet,
-    learning_rate: float,
-    seed: int | np.random.Generator = 0,
-    l2_penalty: float = 1e-4,
-    batch_size: int = 128,
-) -> float:
-    """One in-place pass of balanced minibatch gradient descent; returns mean loss."""
-    features = model.featurize(data.molecules)
-    rng = np.random.default_rng(seed)
-    return _run_epoch_on_features(
-        model, features, data.labels, learning_rate, l2_penalty, batch_size, rng
-    )
 
 
 def predict(model: FingerprintClassifier, mols: Sequence[MolGraph]) -> np.ndarray:

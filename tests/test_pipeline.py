@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import platform
 import shutil
 import warnings
 from collections import Counter
@@ -20,12 +21,17 @@ from scaffscreen.pipeline.config import (
     resolve_overrides,
 )
 from scaffscreen.pipeline.ingest import Assay, AssayRecord, HeaderError, ingest
+from scaffscreen.metrics import RankedList
+from scaffscreen.pipeline import runner
 from scaffscreen.pipeline.runner import (
     augment_split,
     derive_seed,
     rebuild_report,
+    rerank_cell,
     run_experiment,
+    write_scores_csv,
 )
+from scaffscreen.rerank import write_sweep_csv
 from scaffscreen.pipeline.splits import (
     SplitPlan,
     TooFewScaffolds,
@@ -458,16 +464,6 @@ def test_split_plan_json_round_trip(corpus_assay, tmp_path):
     assert SplitPlan.from_json(path) == plan
 
 
-def test_fold_of_locates_records(corpus_assay):
-    plan = make_splits(corpus_assay, scheme="random", seed=3)
-    split = plan.splits[0]
-    assert split.fold_of(split.train_ids[0]) == "train"
-    assert split.fold_of(split.valid_ids[0]) == "valid"
-    assert split.fold_of(split.test_ids[0]) == "test"
-    with pytest.raises(KeyError):
-        split.fold_of("nowhere")
-
-
 def test_scaffold_key_is_empty_for_acyclic_molecules():
     assert scaffold_key(_record("x", "CCO", 0)) == ""
     toluene = scaffold_key(_record("y", "Cc1ccccc1", 0))
@@ -791,6 +787,87 @@ def test_rebuilding_the_report_changes_nothing(mini_run, tmp_path):
     assert _tree(copy) == _tree(mini_run)
 
 
+GOLDEN_FILES = Path(__file__).parent / "data" / "mini_run_files.json"
+
+
+def _platform() -> str:
+    return f"{platform.system()} {platform.machine()}, Python {platform.python_version()}"
+
+
+def test_mini_run_artifacts_match_the_golden_manifest(mini_run):
+    """Every artifact byte of the mini run is pinned by its sha256.
+
+    ``config.ini`` is left out because its ``assay =`` line holds the
+    temporary deck path. A change that moves a byte on purpose rewrites
+    ``tests/data/mini_run_files.json`` (the manifest ``files`` map less
+    ``config.ini``, with the numpy version and platform it came from).
+    """
+    golden = json.loads(GOLDEN_FILES.read_text(encoding="utf-8"))
+    files = json.loads((mini_run / "manifest.json").read_text())["files"]
+    del files["config.ini"]
+    moved = sorted(
+        name
+        for name in set(files) | set(golden["files"])
+        if files.get(name) != golden["files"].get(name)
+    )
+    assert not moved, (
+        f"artifacts differ from the golden manifest: {', '.join(moved)}; "
+        f"golden from numpy {golden['numpy']} on {golden['platform']}, "
+        f"this run numpy {np.__version__} on {_platform()}"
+    )
+
+
+RERANK_SMILES = (
+    "c1ccccc1",
+    "Cc1ccccc1",
+    "c1ccncc1",
+    "C1CCCCC1",
+    "c1ccc2ccccc2c1",
+    "C1CCNCC1",
+    "c1ccoc1",
+    "c1ccsc1",
+    "CCO",
+    "CCN",
+    "C1CC1",
+    "C1CCC1",
+)
+RERANK_MOLS = {f"r{n:02d}": parse_smiles(smi) for n, smi in enumerate(RERANK_SMILES)}
+
+
+def _ranked(scores, labels) -> RankedList:
+    return RankedList.from_records(zip(RERANK_MOLS, scores, labels))
+
+
+def test_rerank_fingerprints_only_the_kept_candidates(monkeypatch, tmp_path):
+    fingerprinted = []
+    original = runner.candidate_fingerprint
+
+    def counting(mol, **kwargs):
+        fingerprinted.append(mol)
+        return original(mol, **kwargs)
+
+    monkeypatch.setattr(runner, "candidate_fingerprint", counting)
+    config = RunConfig(top_k=5, candidate_cap=6, nbits=256, lambda_grid=(0.0, 1.0))
+    labels = [n % 2 for n in range(12)]
+    path = tmp_path / "rerank.csv"
+
+    none = [-1.0 - n for n in range(12)]
+    sweep, note = rerank_cell(path, _ranked(none, labels), RERANK_MOLS, config)
+    assert (sweep, note) == (None, "no positive scores, rerank skipped")
+    assert fingerprinted == []
+
+    few = [3.0, 2.0, 1.0] + [-1.0] * 9
+    sweep, note = rerank_cell(path, _ranked(few, labels), RERANK_MOLS, config)
+    assert (sweep, note) == (None, "only 3 candidates for k=5, rerank skipped")
+    assert fingerprinted == []
+
+    many = [8.0 - n for n in range(12)]  # eight positive scores, capped at six
+    sweep, note = rerank_cell(path, _ranked(many, labels), RERANK_MOLS, config)
+    assert note is None
+    assert [report.lam for report in sweep] == [0.0, 1.0]
+    assert len(fingerprinted) == 6
+
+
 # --- command line ---------------------------------------------------------
 
 
@@ -1024,3 +1101,27 @@ def test_cli_rejects_no_augment_with_generated(capsys):
         )
     assert excinfo.value.code == 2
     assert "mutually exclusive" in capsys.readouterr().err
+
+
+def test_cli_rerank_matches_the_runner_on_a_cell_without_actives(tmp_path, capsys):
+    scores = tmp_path / "scores.csv"
+    rows = [
+        (rid, smi, 1.0 + n, 0)
+        for n, (rid, smi) in enumerate(zip(RERANK_MOLS, RERANK_SMILES))
+    ]
+    write_scores_csv(scores, rows)
+    ini = _write(tmp_path / "k5.ini", "[evaluate]\ntop_k = 5\n")
+    out = tmp_path / "rerank.csv"
+    rc = main(["rerank", "--config", str(ini), "--scores", str(scores), "--out", str(out)])
+    assert rc == 0
+    err = capsys.readouterr().err
+
+    ranked = _ranked([1.0 + n for n in range(12)], [0] * 12)
+    runner_csv = tmp_path / "runner.csv"
+    sweep, note = rerank_cell(runner_csv, ranked, RERANK_MOLS, RunConfig(top_k=5))
+    assert sweep is None
+    assert note == "enrichment needs at least one active in the baseline, rerank skipped"
+    assert note in err
+    write_sweep_csv(tmp_path / "empty.csv", [])
+    assert out.read_bytes() == runner_csv.read_bytes()
+    assert out.read_bytes() == (tmp_path / "empty.csv").read_bytes()

@@ -19,7 +19,6 @@ from scaffscreen.selftrain import (
     pseudo_label,
     save_checkpoint,
     self_train,
-    train_epoch,
     write_history_csv,
 )
 
@@ -111,19 +110,20 @@ def test_training_separates_an_easy_problem():
     assert history[-1].loss < history[0].loss
 
 
-def test_train_epoch_reduces_loss_in_place():
-    model = FingerprintClassifier(nbits=256)
-    first = train_epoch(model, TRAIN, learning_rate=0.5, seed=0)
-    second = train_epoch(model, TRAIN, learning_rate=0.5, seed=1)
-    assert second < first
+def test_self_train_lowers_the_loss_after_one_epoch():
+    config = SelfTrainConfig(
+        epochs=2, warmup_epochs=2, nbits=256, learning_rate=0.5, seed=0
+    )
+    model, history = self_train(TRAIN, (), (), VALIDATION, config)
+    assert history[1].loss < history[0].loss
     assert model.weights.any()
 
 
-def test_train_epoch_requires_both_classes():
+def test_self_train_requires_both_training_classes():
     lopsided = _labeled(ACTIVE_SMILES, [])
-    model = FingerprintClassifier(nbits=256)
+    config = SelfTrainConfig(epochs=2, warmup_epochs=2, nbits=256)
     with pytest.raises(DegenerateData):
-        train_epoch(model, lopsided, learning_rate=0.1)
+        self_train(lopsided, (), (), VALIDATION, config)
 
 
 def test_self_train_requires_mixed_validation():
