@@ -72,7 +72,7 @@ class MolGraph:
     connectivity is not required by the type itself.
     """
 
-    __slots__ = ("_atoms", "_bonds", "_adj")
+    __slots__ = ("_atoms", "_bonds", "_adj", "__weakref__")
 
     def __init__(self, atoms: Iterable[Atom], bonds: Mapping[tuple[int, int], BondOrder]) -> None:
         self._atoms: tuple[Atom, ...] = tuple(atoms)

@@ -76,8 +76,8 @@ class MarginalDenoiser:
 
     def denoise(self, t: int, nodes: np.ndarray, edges: np.ndarray) -> DenoiserOutput:
         n = len(nodes)
-        node_probs = np.tile(self._node_prior, (n, 1))
-        edge_probs = np.tile(self._edge_prior, (n, n, 1))
+        node_probs = np.broadcast_to(self._node_prior, (n, len(self._node_prior)))
+        edge_probs = np.broadcast_to(self._edge_prior, (n, n, len(self._edge_prior)))
         return DenoiserOutput(node_probs=node_probs, edge_probs=edge_probs)
 
 

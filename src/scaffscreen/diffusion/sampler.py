@@ -14,11 +14,14 @@ A reverse step computes, independently per node and per unordered pair,
 with the discrete posterior assembled from the cumulative and per-step
 transition matrices of the cosine schedule, then samples each position.
 Rows of the assembled posterior sum to one up to rounding; they are only
-rescaled by their own sum at the sampling draw.
+rescaled by their own sum at the sampling draw. The transition matrices
+depend only on (schedule, t, prior), so they are built once per schedule
+and prior and shared by every chain and step.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
@@ -85,8 +88,43 @@ class DiffusionState:
         )
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
+
+@functools.lru_cache(maxsize=128)
 def _upper_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.triu_indices(n, k=1)
+    iu, ju = np.triu_indices(n, k=1)
+    return _read_only(iu), _read_only(ju)
+
+
+@functools.lru_cache(maxsize=4)
+def _transition_tables(
+    schedule: CosineSchedule, prior_bytes: bytes, prior_dtype: str
+) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+    """(Qbar_t, Qbar_{t-1}, Q_t) of one prior for t = 1..T, at index t - 1.
+
+    Keyed by value, so an equal schedule and prior share one read-only table
+    whatever object holds them. A chain walks every t, so all are built.
+    """
+    prior = np.frombuffer(prior_bytes, dtype=prior_dtype)
+    cumulative = [
+        _read_only(mixing_matrix(schedule.alpha_bar(t), prior))
+        for t in range(schedule.timesteps + 1)
+    ]
+    step = [
+        _read_only(mixing_matrix(schedule.step_ratio(t), prior))
+        for t in range(1, schedule.timesteps + 1)
+    ]
+    return tuple(zip(cumulative[1:], cumulative[:-1], step))
+
+
+def _transitions(
+    schedule: CosineSchedule, prior: np.ndarray, t: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(Qbar_t, Qbar_{t-1}, Q_t) for ``prior``, each equal to its ``mixing_matrix``."""
+    return _transition_tables(schedule, prior.tobytes(), prior.dtype.str)[t - 1]
 
 
 def _sample_rows(probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -142,27 +180,19 @@ def posterior_distributions(
     t = state.t
     if t < 1:
         raise ValueError("posterior step needs t >= 1")
+    if t > schedule.timesteps:
+        raise ValueError(f"t must lie in [1, {schedule.timesteps}]")
     n = state.n_nodes
     pred.validate(n, marginals.n_atom_types)
 
-    abar_t = schedule.alpha_bar(t)
-    abar_prev = schedule.alpha_bar(t - 1)
-    ratio = schedule.step_ratio(t)
-
     node_post = _posterior(
-        state.nodes,
-        pred.node_probs,
-        mixing_matrix(abar_t, marginals.node_prior),
-        mixing_matrix(abar_prev, marginals.node_prior),
-        mixing_matrix(ratio, marginals.node_prior),
+        state.nodes, pred.node_probs, *_transitions(schedule, marginals.node_prior, t)
     )
     iu, ju = _upper_indices(n)
     edge_post = _posterior(
         state.edges[iu, ju],
         pred.edge_probs[iu, ju],
-        mixing_matrix(abar_t, marginals.edge_prior),
-        mixing_matrix(abar_prev, marginals.edge_prior),
-        mixing_matrix(ratio, marginals.edge_prior),
+        *_transitions(schedule, marginals.edge_prior, t),
     )
     return node_post, edge_post
 

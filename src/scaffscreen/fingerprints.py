@@ -12,11 +12,17 @@ The empty scaffold of an acyclic molecule maps to the all-zero vector, and
 two all-zero vectors count as identical (Tanimoto 1.0); a zero vector
 against a nonzero one scores 0.0. This keeps acyclic molecules from being
 rewarded as mutually "diverse" in scaffold-diversity metrics.
+
+``ecfp`` computes each graph's fingerprint once per (radius, nbits) while
+the graph lives: results are memoized by graph value under a weak key, so
+an equal graph parsed again gets the same object and an entry goes when
+its graph does.
 """
 
 from __future__ import annotations
 
 import hashlib
+import weakref
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -63,13 +69,8 @@ class Fingerprint:
         return self.bits.bit_count()
 
     def to_array(self) -> np.ndarray:
-        out = np.zeros(self.nbits, dtype=np.float64)
-        bits = self.bits
-        while bits:
-            low = bits & -bits
-            out[low.bit_length() - 1] = 1.0
-            bits ^= low
-        return out
+        packed = np.frombuffer(self.bits.to_bytes(self.nbits // 8, "little"), dtype=np.uint8)
+        return np.unpackbits(packed, bitorder="little").astype(np.float64)
 
     def to_hex(self) -> str:
         return f"{self.bits:0{self.nbits // 4}x}"
@@ -97,6 +98,12 @@ def _initial_invariants(mol: MolGraph) -> list[int]:
     return out
 
 
+# Per live graph, its fingerprints by (radius, nbits).
+_MEMO: "weakref.WeakKeyDictionary[MolGraph, dict[tuple[int, int], Fingerprint]]" = (
+    weakref.WeakKeyDictionary()
+)
+
+
 def ecfp(
     mol: MolGraph | None,
     radius: int = DEFAULT_RADIUS,
@@ -109,7 +116,16 @@ def ecfp(
         raise ValueError("nbits must be a power of two, at least 8")
     if mol is None:
         return Fingerprint(bits=0, nbits=nbits, radius=radius)
+    known = _MEMO.get(mol)
+    if known is None:
+        known = _MEMO[mol] = {}
+    fp = known.get((radius, nbits))
+    if fp is None:
+        fp = known[(radius, nbits)] = _compute_ecfp(mol, radius, nbits)
+    return fp
 
+
+def _compute_ecfp(mol: MolGraph, radius: int, nbits: int) -> Fingerprint:
     invariants = _initial_invariants(mol)
     identifiers = list(invariants)
     for _ in range(radius):
@@ -144,12 +160,18 @@ def tanimoto(x: Fingerprint, y: Fingerprint) -> float:
     return (x.bits & y.bits).bit_count() / union
 
 
-def fingerprint_matrix(fps: Sequence[Fingerprint]) -> np.ndarray:
-    """Stack fingerprints into an (m, nbits) 0/1 float matrix."""
+def fingerprint_matrix(
+    fps: Sequence[Fingerprint], dtype: np.dtype | type = np.float64
+) -> np.ndarray:
+    """Stack fingerprints into an (m, nbits) 0/1 matrix of ``dtype``."""
     if not fps:
         raise ValueError("no fingerprints given")
     width = fps[0].nbits
     for fp in fps:
         if fp.nbits != width:
             raise WidthMismatch("mixed fingerprint widths")
-    return np.stack([fp.to_array() for fp in fps])
+    packed = np.frombuffer(
+        b"".join(fp.bits.to_bytes(width // 8, "little") for fp in fps), dtype=np.uint8
+    )
+    rows = np.unpackbits(packed.reshape(len(fps), width // 8), axis=1, bitorder="little")
+    return rows.astype(dtype, copy=False)

@@ -31,7 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from .chem.graph import MolGraph
-from .fingerprints import DEFAULT_NBITS, DEFAULT_RADIUS, ecfp
+from .fingerprints import DEFAULT_NBITS, DEFAULT_RADIUS, ecfp, fingerprint_matrix
 from .metrics import RankedList, bedroc
 
 __all__ = [
@@ -101,12 +101,15 @@ class FingerprintClassifier:
             raise ValueError("weight vector width must equal nbits")
 
     def featurize(self, mols: Sequence[MolGraph]) -> np.ndarray:
-        return np.stack(
-            [ecfp(m, radius=self.radius, nbits=self.nbits).to_array() for m in mols]
+        """One uint8 0/1 row per molecule."""
+        if not mols:
+            return np.zeros((0, self.nbits), dtype=np.uint8)
+        return fingerprint_matrix(
+            [ecfp(m, radius=self.radius, nbits=self.nbits) for m in mols], dtype=np.uint8
         )
 
     def logits(self, features: np.ndarray) -> np.ndarray:
-        return features @ self.weights + self.bias
+        return features.astype(np.float64, copy=False) @ self.weights + self.bias
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -158,20 +161,27 @@ def _oversample_to_balance(
 
 def _run_epoch_on_features(
     model: FingerprintClassifier,
-    features: np.ndarray,
+    rows: np.ndarray,
+    row_index: np.ndarray,
     labels: np.ndarray,
     learning_rate: float,
     l2_penalty: float,
     batch_size: int,
     rng: np.random.Generator,
 ) -> float:
+    """One epoch over the rows ``row_index`` picks from ``rows``, labeled ``labels``.
+
+    Each minibatch is gathered from the uint8 rows and cast to float64, so
+    the gradient sees the same operands as over a float64 matrix.
+    """
     indices = _oversample_to_balance(labels, rng)
     rng.shuffle(indices)
     losses = []
     for start in range(0, len(indices), batch_size):
         batch = indices[start : start + batch_size]
+        features = rows[row_index[batch]].astype(np.float64)
         loss, grad_w, grad_b = loss_and_grad(
-            model.weights, model.bias, features[batch], labels[batch], l2_penalty
+            model.weights, model.bias, features, labels[batch], l2_penalty
         )
         model.weights = model.weights - learning_rate * grad_w
         model.bias = model.bias - learning_rate * grad_b
@@ -207,6 +217,21 @@ def pseudo_label(
         labels=np.ones(len(chosen), dtype=np.int64),
         origin="pseudo",
     )
+
+
+def _validation_bedroc(validation: LabeledSet, logits: np.ndarray) -> float:
+    """BEDROC of ``validation`` ranked by ``logits``.
+
+    Descending logits with ties in input order, as ``RankedList.from_records``
+    ranks them, without building one Python tuple per record.
+    """
+    order = np.argsort(-logits, kind="stable")
+    ranked = RankedList(
+        ids=tuple(validation.ids[i] for i in order),
+        scores=logits[order],
+        labels=validation.labels[order],
+    )
+    return bedroc(ranked)
 
 
 @dataclass(frozen=True)
@@ -261,9 +286,11 @@ def self_train(
     if validation.size == 0 or not 0 < validation.labels.sum() < validation.size:
         raise DegenerateData("validation set needs both an active and an inactive")
     model = FingerprintClassifier(radius=config.radius, nbits=config.nbits)
-    features = model.featurize(labeled.molecules)
-    pool_features = model.featurize(pool) if len(pool) else np.zeros((0, config.nbits))
-    val_features = model.featurize(validation.molecules)
+    # Labeled rows first, then pool rows; an epoch picks rows by index.
+    rows = model.featurize([*labeled.molecules, *pool])
+    n_labeled = labeled.size
+    labeled_rows = np.arange(n_labeled)
+    val_features = model.featurize(validation.molecules).astype(np.float64)
 
     root = np.random.SeedSequence(config.seed)
     epoch_seeds = root.spawn(config.epochs)
@@ -275,22 +302,23 @@ def self_train(
 
     for epoch in range(config.epochs):
         if epoch >= config.warmup_epochs and epoch % config.refresh_period == 0 and len(pool):
-            confidence = _sigmoid(model.logits(pool_features))
+            confidence = _sigmoid(model.logits(rows[n_labeled:]))
             pseudo_mask = np.flatnonzero(confidence > config.confidence_threshold)
 
         if len(pseudo_mask):
-            epoch_features = np.concatenate([features, pool_features[pseudo_mask]])
+            epoch_rows = np.concatenate([labeled_rows, n_labeled + pseudo_mask])
             epoch_labels = np.concatenate(
                 [labeled.labels, np.ones(len(pseudo_mask), dtype=np.int64)]
             )
         else:
-            epoch_features = features
+            epoch_rows = labeled_rows
             epoch_labels = labeled.labels
 
         rng = np.random.default_rng(epoch_seeds[epoch])
         loss = _run_epoch_on_features(
             model,
-            epoch_features,
+            rows,
+            epoch_rows,
             epoch_labels,
             config.learning_rate_at(epoch),
             config.l2_penalty,
@@ -298,12 +326,7 @@ def self_train(
             rng,
         )
 
-        val_logits = model.logits(val_features)
-        ranked = RankedList.from_records(
-            (rid, float(logit), int(label))
-            for rid, logit, label in zip(validation.ids, val_logits, validation.labels)
-        )
-        score = bedroc(ranked)
+        score = _validation_bedroc(validation, model.logits(val_features))
         history.append(
             EpochRecord(epoch=epoch, loss=loss, val_bedroc=score, n_pseudo=len(pseudo_mask))
         )

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import sys
 from pathlib import Path
 
@@ -25,6 +26,7 @@ from scaffscreen.diffusion import (
     mixing_matrix,
     posterior_distributions,
 )
+from scaffscreen.diffusion import sampler as sampler_module
 from scaffscreen.diffusion.sampler import _reverse_step
 
 HELPER = Path(__file__).parent / "helpers" / "echo_denoiser.py"
@@ -181,10 +183,8 @@ def _oracle_posterior(pred_rows, current, qstep, qbar_prev):
     return out
 
 
-def test_posterior_matches_brute_force_bayes():
-    marginals = compute_marginals(_mols("CCO", "c1ccncc1", "CC(=O)O"))
-    schedule = CosineSchedule(timesteps=20)
-    rng = np.random.default_rng(42)
+def _assert_posterior_matches_bayes(marginals, schedule, seed):
+    rng = np.random.default_rng(seed)
     n, a = 5, marginals.n_atom_types
     nodes = rng.integers(a, size=n)
     # Only categories with prior support are reachable by the forward
@@ -215,6 +215,39 @@ def test_posterior_matches_brute_force_bayes():
         _oracle_posterior(pred.edge_probs[iu, ju], edges[iu, ju], qstep_e, qprev_e),
         atol=1e-12,
     )
+
+
+def test_posterior_matches_brute_force_bayes():
+    marginals = compute_marginals(_mols("CCO", "c1ccncc1", "CC(=O)O"))
+    _assert_posterior_matches_bayes(marginals, CosineSchedule(timesteps=20), seed=42)
+
+
+def test_posterior_follows_new_priors_after_earlier_marginals_are_freed(monkeypatch):
+    # Two datasets over the same atom types in other proportions, built and
+    # freed in turn. Each posterior must follow its own priors (a table keyed
+    # by object identity would serve one dataset the other's matrices once an
+    # id is reused), and an equal dataset built anew must find its tables
+    # already made (an identity key would build them again).
+    calls = []
+
+    def counting_mixing_matrix(retention, prior):
+        calls.append(retention)
+        return mixing_matrix(retention, prior)
+
+    monkeypatch.setattr(sampler_module, "mixing_matrix", counting_mixing_matrix)
+    schedule = CosineSchedule(timesteps=20)
+    datasets = (("CCO", "c1ccncc1", "CC(=O)O"), ("OCO", "c1cnccn1", "OCC(O)O"))
+    priors = []
+    for attempt in range(8):
+        if attempt == 2:
+            calls.clear()
+        marginals = compute_marginals(_mols(*datasets[attempt % 2]))
+        priors.append(marginals.node_prior.copy())
+        _assert_posterior_matches_bayes(marginals, schedule, seed=attempt)
+        del marginals
+        gc.collect()
+    assert not np.allclose(priors[0], priors[1])
+    assert calls == []
 
 
 def test_posterior_rows_sum_to_one_without_rescaling():
@@ -457,6 +490,30 @@ def test_size_fallback_when_histogram_cannot_exceed_scaffold():
         on_step=hook,
     )
     assert set(sizes) == {scaffold.n_atoms + 5}
+
+
+def test_extensions_build_each_transition_matrix_once(monkeypatch):
+    calls = []
+
+    def counting_mixing_matrix(retention, prior):
+        calls.append(retention)
+        return mixing_matrix(retention, prior)
+
+    monkeypatch.setattr(sampler_module, "mixing_matrix", counting_mixing_matrix)
+    # A dataset no other test uses, so no earlier table serves its priors.
+    marginals = compute_marginals(_mols(*EXTENSION_DATASET, "C1CC1"))
+    scaffolds = [parse_smiles(s) for s in ("c1ccccc1", "c1ccncc1", "C1CCCCC1", "c1ccccc1")]
+    entries, _ = generate_scaffold_extensions(
+        scaffolds,
+        [0, 1, 2, 0],
+        MarginalDenoiser(marginals),
+        marginals,
+        schedule=CosineSchedule(timesteps=5),
+        seed=3,
+    )
+    assert len(entries) == 4
+    # Six matrices per step would be 4 chains x 5 steps x 6 = 120 calls.
+    assert 0 < len(calls) <= 6 * 5
 
 
 def test_generation_report_and_alignment():

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import gc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scaffscreen import fingerprints
 from scaffscreen.chem import Atom, BondOrder, MolGraph, parse_smiles
 from scaffscreen.fingerprints import (
     DEFAULT_NBITS,
@@ -99,6 +102,35 @@ def test_none_molecule_gives_zero_vector():
     assert fp.bits == 0
     assert fp.popcount == 0
     assert fp.nbits == 512
+    assert fp.radius == 2
+    assert ecfp(None, radius=2, nbits=512) == fp
+
+
+def test_equal_graphs_share_one_memoized_fingerprint():
+    smiles = "CC(=O)Oc1ccccc1C(=O)O"
+    first, second = parse_smiles(smiles), parse_smiles(smiles)
+    assert first is not second and first == second
+    fp = ecfp(first, radius=2, nbits=1024)
+    assert ecfp(second, radius=2, nbits=1024) is fp
+    assert fp == fingerprints._compute_ecfp(second, 2, 1024)
+    # Other settings are separate entries of the same graph.
+    assert ecfp(second, radius=1, nbits=1024) is not fp
+    assert ecfp(second, radius=2, nbits=512).nbits == 512
+    assert ecfp(first, radius=2, nbits=1024) is fp
+
+
+def test_memo_keeps_nothing_once_its_graphs_are_gone():
+    smiles = "CCCCCCCCCCCCN(C)C(=O)c1ccsc1"
+    first, second = parse_smiles(smiles), parse_smiles(smiles)
+    fp = ecfp(first)
+    assert ecfp(second) is fp
+    assert first in fingerprints._MEMO
+    del first, second
+    gc.collect()
+    probe = parse_smiles(smiles)
+    assert probe not in fingerprints._MEMO
+    again = ecfp(probe)
+    assert again == fp and again is not fp
 
 
 def test_tanimoto_conventions():
@@ -136,12 +168,17 @@ def test_width_mismatch_raises():
 
 def test_argument_validation():
     mol = parse_smiles("CCO")
-    with pytest.raises(ValueError):
-        ecfp(mol, radius=-1)
-    with pytest.raises(ValueError):
-        ecfp(mol, nbits=100)
-    with pytest.raises(ValueError):
-        ecfp(mol, nbits=4)
+    for target in (mol, None):
+        with pytest.raises(ValueError):
+            ecfp(target, radius=-1)
+        with pytest.raises(ValueError):
+            ecfp(target, nbits=100)
+        with pytest.raises(ValueError):
+            ecfp(target, nbits=1000)
+        with pytest.raises(ValueError):
+            ecfp(target, nbits=4)
+    # Rejected arguments leave nothing in the memo.
+    assert mol not in fingerprints._MEMO
     with pytest.raises(ValueError):
         Fingerprint(bits=1 << 64, nbits=64, radius=2)
 
@@ -158,20 +195,32 @@ def test_hex_round_trip():
 
 
 def test_to_array_matches_on_bits():
-    fp = ecfp(parse_smiles("c1ccncc1"), nbits=128)
-    arr = fp.to_array()
-    assert arr.shape == (128,)
-    assert set(np.flatnonzero(arr)) == _set_bits(fp)
-    assert arr.sum() == fp.popcount
+    for fp in (
+        ecfp(parse_smiles("c1ccncc1"), nbits=128),
+        Fingerprint(bits=1, nbits=128, radius=2),
+        Fingerprint(bits=1 << 127, nbits=128, radius=2),
+        Fingerprint(bits=0, nbits=128, radius=2),
+        Fingerprint(bits=0b1000_0001, nbits=8, radius=2),
+    ):
+        arr = fp.to_array()
+        assert arr.shape == (fp.nbits,)
+        assert arr.dtype == np.float64
+        assert set(np.flatnonzero(arr)) == _set_bits(fp)
+        assert arr.sum() == fp.popcount
 
 
 def test_fingerprint_matrix_shape_and_content():
     fps = [ecfp(parse_smiles(s), nbits=64) for s in ["CCO", "CCN"]]
+    fps.append(Fingerprint(bits=1 | 1 << 63, nbits=64, radius=2))
     matrix = fingerprint_matrix(fps)
-    assert matrix.shape == (2, 64)
+    assert matrix.shape == (3, 64)
     assert matrix.dtype == np.float64
     for row, fp in zip(matrix, fps):
         assert set(np.flatnonzero(row)) == _set_bits(fp)
+        assert (row == fp.to_array()).all()
+    rows = fingerprint_matrix(fps, dtype=np.uint8)
+    assert rows.dtype == np.uint8
+    assert (rows == matrix).all()
     with pytest.raises(ValueError):
         fingerprint_matrix([])
 

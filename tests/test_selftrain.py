@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from scaffscreen.chem import parse_smiles
 from scaffscreen.metrics import RankedList, bedroc
+from scaffscreen.pipeline.synthetic import make_benchmark_deck
 from scaffscreen.selftrain import (
     CHECKPOINT_VERSION,
     DegenerateData,
@@ -20,6 +22,7 @@ from scaffscreen.selftrain import (
     save_checkpoint,
     self_train,
     write_history_csv,
+    _validation_bedroc,
 )
 
 ACTIVE_SMILES = [
@@ -263,6 +266,58 @@ def test_returned_model_attains_the_best_validation_score():
         for rid, z, y in zip(VALIDATION.ids, logits, VALIDATION.labels)
     )
     assert bedroc(ranked) == max(record.val_bedroc for record in history)
+
+
+@pytest.mark.parametrize(
+    "logits",
+    [
+        [0.0, -0.0, 0.0, -0.0, 0.0, -0.0],
+        [1.5, -0.0, 1.5, 0.0, -2.0, 0.0],
+        [0.25, 0.25, 0.25, 0.25, 0.25, 0.25],
+        [-1.0, 3.0, -0.0, 3.0, 0.0, -1.0],
+    ],
+)
+def test_validation_ranking_ties_like_ranked_list(logits):
+    validation = _labeled(["c1ccccc1", "c1ccncc1", "Cc1ccccc1"], ["CCO", "CCN", "CCC"])
+    logits = np.array(logits)
+    by_records = RankedList.from_records(
+        (rid, float(z), int(y)) for rid, z, y in zip(validation.ids, logits, validation.labels)
+    )
+    assert _validation_bedroc(validation, logits) == bedroc(by_records)
+
+
+def test_pseudo_labeled_self_training_stays_within_a_memory_bound():
+    # 1 200 training rows at 1 024 bits are 9.8 MB as float64; building the
+    # rows as float64, or copying them for each pseudo-labeled epoch, goes
+    # well past the bound.
+    deck = make_benchmark_deck()
+    mols = [parse_smiles(s) for s in deck.smiles]
+    labels = np.array(deck.labels, dtype=np.int64)
+
+    def labeled(rows):
+        return LabeledSet(
+            ids=tuple(deck.ids[i] for i in rows),
+            molecules=tuple(mols[i] for i in rows),
+            labels=labels[list(rows)],
+        )
+
+    train, validation = labeled(range(1200)), labeled(range(1200, 1600))
+    active = np.flatnonzero(labels == 1)
+    pool = tuple(mols[i] for i in active)
+    pool_ids = tuple(f"g{i}" for i in range(len(pool)))
+    assert len(pool) == 20
+    config = SelfTrainConfig(
+        epochs=30, warmup_epochs=5, refresh_period=1, confidence_threshold=0.5,
+        nbits=1024, seed=1,
+    )
+    tracemalloc.start()
+    try:
+        _, history = self_train(train, pool_ids, pool, validation, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(record.n_pseudo for record in history) > 0
+    assert peak < 16 * 2**20, peak
 
 
 def test_learning_rate_decay_endpoints():
