@@ -72,7 +72,7 @@ class MolGraph:
     connectivity is not required by the type itself.
     """
 
-    __slots__ = ("_atoms", "_bonds", "_adj", "__weakref__")
+    __slots__ = ("_atoms", "_bonds", "_adj", "_hash", "__weakref__")
 
     def __init__(self, atoms: Iterable[Atom], bonds: Mapping[tuple[int, int], BondOrder]) -> None:
         self._atoms: tuple[Atom, ...] = tuple(atoms)
@@ -166,7 +166,12 @@ class MolGraph:
         return self._atoms == other._atoms and self._bonds == other._bonds
 
     def __hash__(self) -> int:
-        return hash((self._atoms, tuple(self._bonds.items())))
+        # The graph never changes, so its hash is computed on first use only.
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = hash((self._atoms, tuple(self._bonds.items())))
+            return self._hash
 
     def __iter__(self) -> Iterator[Atom]:
         return iter(self._atoms)

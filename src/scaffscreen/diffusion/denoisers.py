@@ -19,6 +19,11 @@ Requests list only edges that are present (category > 0); absent pairs are
 category 0. Responses may likewise omit pairs, which then default to a
 one-hot "no edge" row. Node probability rows must sum to one within 1e-9.
 Malformed traffic raises :class:`ProtocolError` with the offending line.
+
+Every chain of a generation call advances in lockstep, so consecutive
+requests interleave chains at each timestep: one request per chain at t,
+then one per chain at t - 1. Each request carries one whole graph and its
+t, so a child needs no memory of earlier requests.
 """
 
 from __future__ import annotations
@@ -73,12 +78,18 @@ class MarginalDenoiser:
     def __init__(self, marginals: Marginals) -> None:
         self._node_prior = marginals.node_prior
         self._edge_prior = marginals.edge_prior
+        self._by_size: dict[int, DenoiserOutput] = {}
 
     def denoise(self, t: int, nodes: np.ndarray, edges: np.ndarray) -> DenoiserOutput:
+        """Read-only broadcast views of the priors, made once per graph size."""
         n = len(nodes)
-        node_probs = np.broadcast_to(self._node_prior, (n, len(self._node_prior)))
-        edge_probs = np.broadcast_to(self._edge_prior, (n, n, len(self._edge_prior)))
-        return DenoiserOutput(node_probs=node_probs, edge_probs=edge_probs)
+        output = self._by_size.get(n)
+        if output is None:
+            output = self._by_size[n] = DenoiserOutput(
+                node_probs=np.broadcast_to(self._node_prior, (n, len(self._node_prior))),
+                edge_probs=np.broadcast_to(self._edge_prior, (n, n, len(self._edge_prior))),
+            )
+        return output
 
 
 class OneHotEchoDenoiser:
@@ -166,13 +177,20 @@ class ExternalDenoiser:
             node_probs = np.asarray(payload["node_probs"], dtype=np.float64)
             edge_probs = np.zeros((n, n, N_EDGE_CATEGORIES))
             edge_probs[:, :, EDGE_NONE] = 1.0
-            for item in payload.get("edge_probs", []):
-                i, j, row = item
-                row = np.asarray(row, dtype=np.float64)
-                if row.shape != (N_EDGE_CATEGORIES,):
-                    raise ValueError(f"edge row for ({i}, {j}) has shape {row.shape}")
-                edge_probs[i, j] = row
-                edge_probs[j, i] = row
+            items = payload.get("edge_probs", [])
+            if items:
+                if not all(isinstance(item, list) and len(item) == 3 for item in items):
+                    raise ValueError("edge entries must be [i, j, row] triples")
+                i, j, rows = zip(*items)
+                pairs = np.asarray([i, j])
+                rows = np.asarray(rows, dtype=np.float64)
+                if pairs.dtype.kind != "i":
+                    raise ValueError("edge indices must be integers")
+                if rows.shape != (len(items), N_EDGE_CATEGORIES):
+                    raise ValueError(f"edge rows have shape {rows.shape}")
+                # (i, j) then (j, i) per entry, in reply order, so a pair sent
+                # twice keeps its last row in both orientations.
+                edge_probs[pairs.T.ravel(), pairs[::-1].T.ravel()] = np.repeat(rows, 2, axis=0)
         except (ValueError, TypeError, IndexError) as exc:
             raise ProtocolError(
                 f"malformed denoiser response ({exc}): {line.strip()!r}"

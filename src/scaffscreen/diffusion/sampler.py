@@ -17,14 +17,28 @@ Rows of the assembled posterior sum to one up to rounding; they are only
 rescaled by their own sum at the sampling draw. The transition matrices
 depend only on (schedule, t, prior), so they are built once per schedule
 and prior and shared by every chain and step.
+
+All chains of one call advance in lockstep, one timestep at a time. Every
+chain's nodes and upper-triangle pairs sit in flat arrays, so a step asks
+the denoiser once per chain, computes the posterior with one row product
+for all nodes and one for all pairs, and samples and re-anchors the whole
+stack at once. Each chain keeps its own generator and draws its uniforms
+in the same order as when run alone (its nodes, then its pairs), so a
+chain samples the same molecule whichever chains run beside it. That
+holds bit for bit as long as each chain brings at least two node rows and
+two pair rows: a one-row block goes through BLAS's matrix-vector kernel
+when run alone, which may round its last bit otherwise. A scaffold is a
+ring system and the drawn size exceeds it, so a pipeline chain has at
+least four nodes and six pairs.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import logging
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -127,11 +141,10 @@ def _transitions(
     return _transition_tables(schedule, prior.tobytes(), prior.dtype.str)[t - 1]
 
 
-def _sample_rows(probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """One categorical draw per row."""
+def _sample_rows(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """One categorical draw per row, by inverting its cdf at the uniform ``u``."""
     cdf = np.cumsum(probs, axis=1)
     cdf /= cdf[:, -1:]
-    u = rng.random(len(probs))
     return (cdf < u[:, None]).sum(axis=1)
 
 
@@ -162,8 +175,8 @@ def _posterior(
     ``current`` is the vector of observed categories k, ``pred`` the matrix
     of predicted clean-category probabilities, one row per position.
     """
-    weighted = pred / qbar_t[:, current].T
-    return (weighted @ qbar_prev) * qstep[:, current].T
+    weighted = pred / np.take(qbar_t.T, current, axis=0)
+    return (weighted @ qbar_prev) * np.take(qstep.T, current, axis=0)
 
 
 def posterior_distributions(
@@ -197,28 +210,150 @@ def posterior_distributions(
     return node_post, edge_post
 
 
+def _bounds(counts: Iterable[int]) -> list[int]:
+    return [0, *itertools.accumulate(counts)]
+
+
+@dataclass(frozen=True)
+class _Lockstep:
+    """Every chain of one call at the same step ``t``, stacked in flat arrays.
+
+    Chain c holds ``nodes[node_bounds[c]:node_bounds[c + 1]]``, its
+    upper-triangle pairs in ``np.triu_indices`` order as the like slice of
+    ``pairs``, and its symmetric edge matrix as an n*n block of ``edges``
+    from ``edge_bounds[c]``; ``upper`` and ``lower`` index each pair's two
+    cells in ``edges``. A step's uniforms are laid out chain by chain, each
+    chain's nodes then its pairs, and ``node_draws``/``pair_draws`` pick
+    them out for the stacked rows. ``templates`` keep each chain's masks
+    and anchors, which ``node_mask``/``node_anchor`` and
+    ``pair_mask``/``pair_anchor`` hold in flat form.
+    """
+
+    t: int
+    nodes: np.ndarray
+    pairs: np.ndarray
+    edges: np.ndarray
+    templates: tuple[DiffusionState, ...]
+    rngs: tuple[np.random.Generator, ...]
+    sizes: tuple[int, ...]
+    node_bounds: list[int]
+    edge_bounds: list[int]
+    draw_bounds: list[int]
+    upper: np.ndarray
+    lower: np.ndarray
+    node_mask: np.ndarray
+    node_anchor: np.ndarray
+    pair_mask: np.ndarray
+    pair_anchor: np.ndarray
+    node_draws: np.ndarray
+    pair_draws: np.ndarray
+
+    def _graph(self, c: int) -> tuple[np.ndarray, np.ndarray]:
+        n = self.sizes[c]
+        edges = self.edges[self.edge_bounds[c] : self.edge_bounds[c + 1]]
+        return self.nodes[self.node_bounds[c] : self.node_bounds[c + 1]], edges.reshape(n, n)
+
+    def graphs(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """Each chain's (nodes, edges) as views of this step's arrays."""
+        return (self._graph(c) for c in range(len(self.sizes)))
+
+    def state(self, c: int) -> DiffusionState:
+        nodes, edges = self._graph(c)
+        return replace(self.templates[c], t=self.t, nodes=nodes, edges=edges)
+
+
+def _stack(
+    states: Sequence[DiffusionState], rngs: Sequence[np.random.Generator]
+) -> _Lockstep:
+    """Lay out chains at one common step for lockstep advance."""
+    sizes = tuple(state.n_nodes for state in states)
+    n_pairs = [n * (n - 1) // 2 for n in sizes]
+    node_bounds = _bounds(sizes)
+    pair_bounds = _bounds(n_pairs)
+    edge_bounds = _bounds(n * n for n in sizes)
+    upper = []
+    lower = []
+    for n, offset in zip(sizes, edge_bounds):
+        iu, ju = _upper_indices(n)
+        upper.append(offset + iu * n + ju)
+        lower.append(offset + ju * n + iu)
+    upper = np.concatenate(upper)
+    lower = np.concatenate(lower)
+    edges = np.concatenate([state.edges.ravel() for state in states])
+    edge_mask = np.concatenate([state.edge_mask.ravel() for state in states])
+    anchor_edges = np.concatenate([state.anchor_edges.ravel() for state in states])
+    # A chain's uniforms start after every earlier chain's nodes and pairs.
+    node_draws = np.arange(node_bounds[-1]) + np.repeat(pair_bounds[:-1], sizes)
+    pair_draws = np.arange(pair_bounds[-1]) + np.repeat(node_bounds[1:], n_pairs)
+    return _Lockstep(
+        t=states[0].t,
+        nodes=np.concatenate([state.nodes for state in states]),
+        pairs=edges[upper],
+        edges=edges,
+        templates=tuple(states),
+        rngs=tuple(rngs),
+        sizes=sizes,
+        node_bounds=node_bounds,
+        edge_bounds=edge_bounds,
+        draw_bounds=_bounds(n + m for n, m in zip(sizes, n_pairs)),
+        upper=upper,
+        lower=lower,
+        node_mask=np.concatenate([state.node_mask for state in states]),
+        node_anchor=np.concatenate([state.anchor_nodes for state in states]),
+        pair_mask=edge_mask[upper],
+        pair_anchor=anchor_edges[upper],
+        node_draws=node_draws,
+        pair_draws=pair_draws,
+    )
+
+
 def _reverse_step(
-    state: DiffusionState,
-    pred: DenoiserOutput,
+    chains: _Lockstep,
+    preds: Sequence[DenoiserOutput],
     marginals: Marginals,
     schedule: CosineSchedule,
-    rng: np.random.Generator,
-) -> tuple[DiffusionState, np.ndarray, np.ndarray]:
-    """Sample the graph at t-1 (nodes, then pairs) and re-apply the scaffold.
+) -> tuple[_Lockstep, np.ndarray, np.ndarray]:
+    """Sample every chain at t-1 from its prediction and re-apply the scaffolds.
 
-    Returns the new state with the node and pair posterior rows it was
-    drawn from.
+    Returns the chains at t-1 with the stacked node and pair posterior rows
+    they were drawn from.
     """
-    node_post, edge_post = posterior_distributions(state, pred, marginals, schedule)
-    n = state.n_nodes
-    nodes = _sample_rows(node_post, rng).astype(np.int64)
-    pair_draws = _sample_rows(edge_post, rng).astype(np.int64)
-    edges = np.zeros((n, n), dtype=np.int64)
-    iu, ju = _upper_indices(n)
-    edges[iu, ju] = pair_draws
-    edges[ju, iu] = pair_draws
-    state = replace(state, t=state.t - 1, nodes=nodes, edges=edges).anchored()
-    return state, node_post, edge_post
+    node_rows = []
+    pair_rows = []
+    for pred, n in zip(preds, chains.sizes):
+        pred.validate(n, marginals.n_atom_types)
+        iu, ju = _upper_indices(n)
+        node_rows.append(pred.node_probs)
+        pair_rows.append(pred.edge_probs[iu, ju])
+    t = chains.t
+    node_post = _posterior(
+        chains.nodes,
+        np.concatenate(node_rows),
+        *_transitions(schedule, marginals.node_prior, t),
+    )
+    pair_post = _posterior(
+        chains.pairs,
+        np.concatenate(pair_rows),
+        *_transitions(schedule, marginals.edge_prior, t),
+    )
+    uniforms = np.empty(chains.draw_bounds[-1])
+    for rng, start, stop in zip(chains.rngs, chains.draw_bounds, chains.draw_bounds[1:]):
+        rng.random(out=uniforms[start:stop])
+    nodes = np.where(
+        chains.node_mask,
+        chains.node_anchor,
+        _sample_rows(node_post, uniforms[chains.node_draws]),
+    )
+    pairs = np.where(
+        chains.pair_mask,
+        chains.pair_anchor,
+        _sample_rows(pair_post, uniforms[chains.pair_draws]),
+    )
+    edges = np.zeros_like(chains.edges)
+    edges[chains.upper] = pairs
+    edges[chains.lower] = pairs
+    stepped = replace(chains, t=t - 1, nodes=nodes, pairs=pairs, edges=edges)
+    return stepped, node_post, pair_post
 
 
 def _draw_size(n_scaffold: int, marginals: Marginals, rng: np.random.Generator) -> int:
@@ -269,6 +404,41 @@ def _initial_state(
     ).anchored()
 
 
+def _run_chains(
+    scaffolds: Sequence[MolGraph],
+    rngs: Sequence[np.random.Generator],
+    denoiser: Denoiser,
+    marginals: Marginals,
+    schedule: CosineSchedule,
+    on_step: StepHook | None = None,
+) -> list[MolGraph]:
+    """Grow one molecule per scaffold, chain c drawing from ``rngs[c]``.
+
+    Each chain draws its size and prior first, then all chains take the
+    reverse steps together. ``on_step`` is for one-chain runs: it receives
+    the first chain's state after every step with the step's rows.
+    """
+    if not scaffolds:
+        return []
+    for scaffold in scaffolds:
+        for atom in scaffold.atoms:
+            marginals.atom_index(atom)  # KeyError for atoms outside the vocabulary
+    states = []
+    for scaffold, rng in zip(scaffolds, rngs):
+        n_total = _draw_size(scaffold.n_atoms, marginals, rng)
+        states.append(_initial_state(scaffold, n_total, marginals, schedule, rng))
+    chains = _stack(states, rngs)
+    while chains.t > 0:
+        preds = [denoiser.denoise(chains.t, nodes, edges) for nodes, edges in chains.graphs()]
+        chains, node_post, pair_post = _reverse_step(chains, preds, marginals, schedule)
+        if on_step is not None:
+            on_step(chains.state(0), node_post, pair_post)
+    return [
+        _decode_extension(chains.state(c), scaffold, marginals)
+        for c, scaffold in enumerate(scaffolds)
+    ]
+
+
 def extend_scaffold(
     scaffold: MolGraph,
     denoiser: Denoiser,
@@ -279,23 +449,20 @@ def extend_scaffold(
 ) -> MolGraph:
     """Grow a molecule around ``scaffold`` by reverse diffusion.
 
-    The returned molecule keeps the scaffold at indices ``[0, n_scaffold)``;
-    sampled fragments not connected to it are discarded. ``on_step``, when
-    given, receives every post-step state along with the posterior rows
-    that produced it.
+    The one-chain case of the lockstep engine. The returned molecule keeps
+    the scaffold at indices ``[0, n_scaffold)``; sampled fragments not
+    connected to it are discarded. ``on_step``, when given, receives every
+    post-step state along with the posterior rows that produced it.
     """
-    for atom in scaffold.atoms:
-        marginals.atom_index(atom)  # KeyError for atoms outside the vocabulary
-    schedule = schedule or CosineSchedule()
-    rng = np.random.default_rng(seed)
-    n_total = _draw_size(scaffold.n_atoms, marginals, rng)
-    state = _initial_state(scaffold, n_total, marginals, schedule, rng)
-    while state.t > 0:
-        pred = denoiser.denoise(state.t, state.nodes, state.edges)
-        state, node_post, edge_post = _reverse_step(state, pred, marginals, schedule, rng)
-        if on_step is not None:
-            on_step(state, node_post, edge_post)
-    return _decode_extension(state, scaffold, marginals)
+    (molecule,) = _run_chains(
+        [scaffold],
+        [np.random.default_rng(seed)],
+        denoiser,
+        marginals,
+        schedule or CosineSchedule(),
+        on_step,
+    )
+    return molecule
 
 
 def _decode_extension(
@@ -336,24 +503,25 @@ def generate_scaffold_extensions(
 ) -> tuple[list[GeneratedEntry], GenerationReport]:
     """Run one extension per scaffold entry and screen the results.
 
-    Every generated molecule is valence-checked; both valid and invalid
-    entries are returned (flagged) so the caller can report the validity
-    rate, but only valid ones should enter training data.
+    Entry c grows from a generator on the c-th child of ``SeedSequence(seed)``,
+    so it equals ``extend_scaffold`` seeded with that generator. Every
+    generated molecule is valence-checked; both valid and invalid entries
+    are returned (flagged) so the caller can report the validity rate, but
+    only valid ones should enter training data.
     """
     if len(scaffolds) != len(cluster_ids):
         raise ValueError("scaffolds and cluster_ids are misaligned")
-    schedule = schedule or CosineSchedule()
+    children = np.random.SeedSequence(seed).spawn(len(scaffolds))
+    molecules = _run_chains(
+        scaffolds,
+        [np.random.default_rng(child) for child in children],
+        denoiser,
+        marginals,
+        schedule or CosineSchedule(),
+    )
     entries: list[GeneratedEntry] = []
     n_valid = 0
-    children = np.random.SeedSequence(seed).spawn(len(scaffolds))
-    for scaffold, cluster_id, child in zip(scaffolds, cluster_ids, children):
-        mol = extend_scaffold(
-            scaffold,
-            denoiser,
-            marginals,
-            schedule=schedule,
-            seed=np.random.default_rng(child),
-        )
+    for scaffold, cluster_id, mol in zip(scaffolds, cluster_ids, molecules):
         valid = check_valence(mol).valid
         n_valid += int(valid)
         entries.append(

@@ -73,6 +73,7 @@ from ..sampling import (
     write_library_csv,
 )
 from ..selftrain import (
+    DegenerateData,
     EpochRecord,
     FingerprintClassifier,
     LabeledSet,
@@ -84,7 +85,7 @@ from ..selftrain import (
 )
 from .config import RunConfig, dump_config, load_config
 from .ingest import Assay, AssayRecord, ingest
-from .splits import make_splits
+from .splits import SplitPlan, make_splits
 
 __all__ = [
     "AugmentProducts",
@@ -441,6 +442,16 @@ def rerank_cell(
     return sweep, None
 
 
+def _check_folds(plan: SplitPlan, by_id: dict[str, AssayRecord]) -> None:
+    """Raise ``DegenerateData`` for a training or validation fold missing a class."""
+    for i, split in enumerate(plan.splits):
+        for fold, ids in (("training", split.train_ids), ("validation", split.valid_ids)):
+            if {by_id[rid].label for rid in ids} != {0, 1}:
+                raise DegenerateData(
+                    f"split{i}: the {fold} fold needs both an active and an inactive"
+                )
+
+
 def run_experiment(config: RunConfig, run_dir: str | Path | None = None) -> Path:
     """Execute the full pipeline under ``config``; returns the run directory."""
     run_dir = Path(run_dir if run_dir is not None else config.output_dir)
@@ -453,6 +464,8 @@ def run_experiment(config: RunConfig, run_dir: str | Path | None = None) -> Path
     assay = ingest(config.assay, quarantine_path=run_dir / "quarantine.csv")
     by_id = {r.record_id: r for r in assay.records}
     plan = make_splits(assay, scheme=config.scheme, seed=config.seed)
+    # Every split trains, so check them all before the first one writes.
+    _check_folds(plan, by_id)
     plan.to_json(run_dir / "splits.json")
 
     notes: list[str] = []

@@ -171,15 +171,18 @@ def _run_epoch_on_features(
 ) -> float:
     """One epoch over the rows ``row_index`` picks from ``rows``, labeled ``labels``.
 
-    Each minibatch is gathered from the uint8 rows and cast to float64, so
-    the gradient sees the same operands as over a float64 matrix.
+    Each minibatch is gathered from the uint8 rows into one float64 buffer
+    reused across the epoch, so the gradient sees the same operands as over
+    a float64 matrix without a fresh allocation per minibatch.
     """
     indices = _oversample_to_balance(labels, rng)
     rng.shuffle(indices)
     losses = []
+    buffer = np.empty((min(batch_size, len(indices)), rows.shape[1]))
     for start in range(0, len(indices), batch_size):
         batch = indices[start : start + batch_size]
-        features = rows[row_index[batch]].astype(np.float64)
+        features = buffer[: len(batch)]
+        features[...] = rows[row_index[batch]]
         loss, grad_w, grad_b = loss_and_grad(
             model.weights, model.bias, features, labels[batch], l2_penalty
         )

@@ -5,6 +5,9 @@ Modes, chosen by argv[1]:
   echo      one-hot on the current graph categories (default)
   garbage   reply with a non-JSON line
   badrow    node probability rows that do not sum to one
+  pair      an edge entry that is a pair, not an [i, j, row] triple
+  wide      an edge row six categories wide
+  outside   an edge entry whose index is the node count
 """
 
 from __future__ import annotations
@@ -32,6 +35,13 @@ def _respond(request: dict, mode: str, n_atom_types: int) -> str:
         row = [0.0] * N_EDGE_CATEGORIES
         row[category] = 1.0
         edge_probs.append([i, j, row])
+    no_edge = [1.0] + [0.0] * (N_EDGE_CATEGORIES - 1)
+    if mode == "pair":
+        edge_probs.append([0, no_edge])
+    elif mode == "wide":
+        edge_probs.append([0, 1, no_edge + [0.0]])
+    elif mode == "outside":
+        edge_probs.append([0, len(nodes), no_edge])
     return json.dumps({"node_probs": node_probs, "edge_probs": edge_probs})
 
 

@@ -27,7 +27,7 @@ from scaffscreen.diffusion import (
     posterior_distributions,
 )
 from scaffscreen.diffusion import sampler as sampler_module
-from scaffscreen.diffusion.sampler import _reverse_step
+from scaffscreen.diffusion.sampler import _reverse_step, _stack
 
 HELPER = Path(__file__).parent / "helpers" / "echo_denoiser.py"
 
@@ -306,7 +306,8 @@ def test_posterior_step_keeps_anchor_and_decrements_t():
     ).anchored()
     assert state.anchor_intact()
     pred = MarginalDenoiser(marginals).denoise(state.t, state.nodes, state.edges)
-    stepped, node_post, edge_post = _reverse_step(state, pred, marginals, schedule, rng)
+    chains, node_post, edge_post = _reverse_step(_stack([state], [rng]), [pred], marginals, schedule)
+    stepped = chains.state(0)
     assert stepped.t == 9
     assert stepped.anchor_intact()
     assert (stepped.edges == stepped.edges.T).all()
@@ -393,6 +394,36 @@ def test_external_denoiser_rejects_shape_mismatch():
     with ExternalDenoiser(_echo_command("echo", 3), 2) as external:
         with pytest.raises(ProtocolError, match="shape"):
             external.denoise(1, nodes, edges)
+
+
+@pytest.mark.parametrize(
+    ("mode", "message"),
+    [("pair", "triples"), ("wide", "shape"), ("outside", "out of bounds")],
+)
+def test_external_denoiser_rejects_malformed_edge_entries(mode, message):
+    # The other edge entries are well formed, so the one bad entry is found
+    # among them.
+    marginals = compute_marginals(_mols("CCO", "c1ccccc1"))
+    nodes, edges = encode_molecule(parse_smiles("c1ccccc1"), marginals)
+    a = marginals.n_atom_types
+    with ExternalDenoiser(_echo_command(mode, a), a) as external:
+        with pytest.raises(ProtocolError, match=message):
+            external.denoise(1, nodes, edges)
+
+
+def test_external_decode_matches_a_loop_over_entries():
+    # Entries may repeat a pair in either orientation; the last one wins in
+    # both cells, as when each entry is written in turn.
+    single, double, triple = ([float(k == c) for k in range(5)] for c in (1, 2, 3))
+    entries = [[0, 1, single], [2, 0, triple], [1, 0, double], [3, 2, single], [0, 2, double]]
+    payload = {"node_probs": [[1.0]] * 4, "edge_probs": entries}
+    got = ExternalDenoiser(["unused"], 1)._decode(payload, "", 4)
+    want = np.zeros((4, 4, 5))
+    want[:, :, EDGE_NONE] = 1.0
+    for i, j, row in entries:
+        want[i, j] = row
+        want[j, i] = row
+    assert np.array_equal(got.edge_probs, want)
 
 
 def test_external_denoiser_restarts_after_close():
@@ -514,6 +545,45 @@ def test_extensions_build_each_transition_matrix_once(monkeypatch):
     assert len(entries) == 4
     # Six matrices per step would be 4 chains x 5 steps x 6 = 120 calls.
     assert 0 < len(calls) <= 6 * 5
+
+
+@pytest.mark.parametrize("denoiser_kind", ["marginal", "echo"])
+def test_lockstep_extensions_equal_one_chain_runs(denoiser_kind):
+    # Chains of several sizes advance together; each must sample exactly the
+    # molecule it samples alone from the same spawned generator.
+    marginals = compute_marginals(_mols(*EXTENSION_DATASET, "c1ccc2ccccc2c1", "C1CC1CCCCCC"))
+    if denoiser_kind == "marginal":
+        denoiser = MarginalDenoiser(marginals)
+    else:
+        denoiser = OneHotEchoDenoiser(marginals.n_atom_types)
+    schedule = CosineSchedule(timesteps=12)
+    scaffolds = _mols(
+        "c1ccccc1",
+        "C1CC1",
+        "c1ccc2ccccc2c1",
+        "c1ccncc1",
+        "C1CCCCC1",
+        "c1ccccc1",
+        "C1CC1",
+        "c1ccc2ccccc2c1",
+        "c1ccncc1",
+    )
+    entries, _ = generate_scaffold_extensions(
+        scaffolds, list(range(len(scaffolds))), denoiser, marginals, schedule=schedule, seed=21
+    )
+    children = np.random.SeedSequence(21).spawn(len(scaffolds))
+    alone = [
+        extend_scaffold(
+            scaffold,
+            denoiser,
+            marginals,
+            schedule=schedule,
+            seed=np.random.default_rng(child),
+        )
+        for scaffold, child in zip(scaffolds, children)
+    ]
+    assert len({mol.n_atoms for mol in alone}) > 2
+    assert [entry.molecule for entry in entries] == alone
 
 
 def test_generation_report_and_alignment():

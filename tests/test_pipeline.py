@@ -32,6 +32,7 @@ from scaffscreen.pipeline.runner import (
     write_scores_csv,
 )
 from scaffscreen.rerank import write_sweep_csv
+from scaffscreen.selftrain import DegenerateData
 from scaffscreen.pipeline.splits import (
     SplitPlan,
     TooFewScaffolds,
@@ -815,6 +816,17 @@ def test_mini_run_artifacts_match_the_golden_manifest(mini_run):
         f"golden from numpy {golden['numpy']} on {golden['platform']}, "
         f"this run numpy {np.__version__} on {_platform()}"
     )
+
+
+def test_a_fold_missing_a_class_fails_before_any_split_is_written(
+    benchmark_deck_csv, tmp_path
+):
+    # Run seed 9 deals split 3 a validation fold without an active.
+    run_dir = tmp_path / "run"
+    with pytest.raises(DegenerateData, match="split3: the validation fold"):
+        run_experiment(RunConfig(assay=str(benchmark_deck_csv), seed=9), run_dir)
+    assert not (run_dir / "splits").exists()
+    assert not (run_dir / "splits.json").exists()
 
 
 RERANK_SMILES = (

@@ -151,6 +151,18 @@ def test_serializing_disconnected_graph_fails():
         to_smiles(two_parts)
 
 
+def test_equal_graphs_hash_equal_and_the_hash_is_kept():
+    first = parse_smiles("CC(=O)Oc1ccccc1C(=O)O")
+    second = MolGraph(first.atoms, dict(first.bonds))
+    assert first is not second and first == second
+    assert hash(first) == hash(second)
+    value = hash(first)
+    # With its atoms and bonds gone, only a kept hash can still answer.
+    first._atoms = first._bonds = None
+    assert hash(first) == value
+    assert hash(first) == value
+
+
 def test_roundtrip_preserves_structure_on_curated_set():
     curated = FIXED_POINTS + [
         "N#Cc1ccccc1",
