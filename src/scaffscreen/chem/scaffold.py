@@ -9,9 +9,20 @@ reported as ``None`` rather than an empty graph.
 
 Atom and bond attributes are carried over unchanged; exocyclic
 substituents, double-bonded ones included, count as side chains.
+
+``murcko_scaffold`` computes each molecule's scaffold once while the
+molecule lives: results are memoized by graph value under a weak key, so
+an equal molecule parsed again gets the same scaffold object and an entry
+goes when its molecule does. The facts keyed by the scaffold graph then
+live exactly as long: its ``fingerprints.ecfp`` entry and its
+``pipeline.splits.scaffold_key`` string. A stored scaffold is always a new
+graph, never the molecule itself, even when every atom survives, so no
+entry keeps its own key alive.
 """
 
 from __future__ import annotations
+
+import weakref
 
 from .graph import MolGraph
 
@@ -36,12 +47,19 @@ def scaffold_atom_indices(mol: MolGraph) -> tuple[int, ...]:
     return tuple(i for i in range(mol.n_atoms) if alive[i])
 
 
+# Per live molecule, its scaffold (None when acyclic).
+_MEMO: "weakref.WeakKeyDictionary[MolGraph, MolGraph | None]" = weakref.WeakKeyDictionary()
+
+
 def murcko_scaffold(mol: MolGraph) -> MolGraph | None:
     """Ring-and-linker scaffold of ``mol``, or ``None`` for acyclic input.
 
     Idempotent: the scaffold of a scaffold is itself.
     """
+    try:
+        return _MEMO[mol]
+    except KeyError:
+        pass
     kept = scaffold_atom_indices(mol)
-    if not kept:
-        return None
-    return mol.subgraph(kept)
+    scaffold = _MEMO[mol] = mol.subgraph(kept) if kept else None
+    return scaffold

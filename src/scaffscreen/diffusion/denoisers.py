@@ -108,6 +108,14 @@ class OneHotEchoDenoiser:
         return DenoiserOutput(node_probs=node_probs, edge_probs=edge_probs)
 
 
+def _request_line(t: int, nodes: np.ndarray, edges: np.ndarray) -> str:
+    """One request line: present edges of the upper triangle in row-major order."""
+    rows, cols = np.nonzero(np.triu(edges != EDGE_NONE, 1))
+    sparse_edges = np.stack([rows, cols, edges[rows, cols]], axis=1).tolist()
+    request = {"t": int(t), "nodes": [int(v) for v in nodes], "edges": sparse_edges}
+    return json.dumps(request) + "\n"
+
+
 class ExternalDenoiser:
     """Bridges to a denoiser child process over line-delimited JSON.
 
@@ -147,17 +155,11 @@ class ExternalDenoiser:
 
     def denoise(self, t: int, nodes: np.ndarray, edges: np.ndarray) -> DenoiserOutput:
         n = len(nodes)
-        sparse_edges = [
-            [i, j, int(edges[i, j])]
-            for i in range(n)
-            for j in range(i + 1, n)
-            if edges[i, j] != EDGE_NONE
-        ]
-        request = {"t": int(t), "nodes": [int(v) for v in nodes], "edges": sparse_edges}
+        request = _request_line(t, nodes, edges)
         with self._lock:
             proc = self._ensure_started()
             try:
-                proc.stdin.write(json.dumps(request) + "\n")
+                proc.stdin.write(request)
                 proc.stdin.flush()
                 line = proc.stdout.readline()
             except (BrokenPipeError, OSError) as exc:

@@ -35,6 +35,7 @@ __all__ = [
     "DEFAULT_RADIUS",
     "Fingerprint",
     "WidthMismatch",
+    "check_nbits",
     "ecfp",
     "fingerprint_matrix",
     "tanimoto",
@@ -50,6 +51,11 @@ class WidthMismatch(ValueError):
     """Raised when combining fingerprints of different widths."""
 
 
+def check_nbits(nbits: int) -> None:
+    if nbits < 8 or nbits & (nbits - 1):
+        raise ValueError("nbits must be a power of two, at least 8")
+
+
 @dataclass(frozen=True)
 class Fingerprint:
     """Folded binary fingerprint held as an int bitset."""
@@ -59,8 +65,7 @@ class Fingerprint:
     radius: int
 
     def __post_init__(self) -> None:
-        if self.nbits < 8 or self.nbits & (self.nbits - 1):
-            raise ValueError("nbits must be a power of two, at least 8")
+        check_nbits(self.nbits)
         if self.bits < 0 or self.bits >> self.nbits:
             raise ValueError("bit pattern wider than nbits")
 
@@ -112,8 +117,7 @@ def ecfp(
     """Fingerprint a molecule; ``None`` (empty scaffold) gives the zero vector."""
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    if nbits < 8 or nbits & (nbits - 1):
-        raise ValueError("nbits must be a power of two, at least 8")
+    check_nbits(nbits)
     if mol is None:
         return Fingerprint(bits=0, nbits=nbits, radius=radius)
     known = _MEMO.get(mol)

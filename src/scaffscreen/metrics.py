@@ -53,6 +53,7 @@ __all__ = [
     "DegenerateLabels",
     "RankedList",
     "bedroc",
+    "check_fpr_window",
     "dcg_k",
     "ef_k",
     "log_auc",
@@ -114,12 +115,16 @@ def _roc_polyline(ranked: RankedList) -> tuple[np.ndarray, np.ndarray]:
     return fpr[keep], tpr[keep]
 
 
+def check_fpr_window(fpr_lo: float, fpr_hi: float) -> None:
+    if not 0.0 < fpr_lo < fpr_hi <= 1.0:
+        raise ValueError("need 0 < fpr_lo < fpr_hi <= 1")
+
+
 def log_auc(
     ranked: RankedList, fpr_lo: float = 0.001, fpr_hi: float = 0.1
 ) -> float:
     """Normalized area under TPR d(log10 FPR) over [fpr_lo, fpr_hi]."""
-    if not 0.0 < fpr_lo < fpr_hi <= 1.0:
-        raise ValueError("need 0 < fpr_lo < fpr_hi <= 1")
+    check_fpr_window(fpr_lo, fpr_hi)
     n = ranked.n_actives
     if n == 0 or n == ranked.n_records:
         raise DegenerateLabels("log_auc needs both actives and inactives")

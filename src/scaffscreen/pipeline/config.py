@@ -12,6 +12,10 @@ import io
 from dataclasses import dataclass, fields
 from pathlib import Path
 
+from ..fingerprints import check_nbits
+from ..metrics import check_fpr_window
+from ..rerank import check_lambda
+
 __all__ = [
     "ConfigError",
     "RunConfig",
@@ -74,6 +78,19 @@ class RunConfig:
             raise ConfigError("library_fraction must lie in (0, 1]")
         if self.eval_seeds < 1:
             raise ConfigError("eval_seeds must be positive")
+        if not 2 <= self.k_min <= self.k_max:
+            raise ConfigError("need 2 <= k_min <= k_max")
+        if self.top_k < 1:
+            raise ConfigError("top_k must be positive")
+        if not self.lambda_grid:
+            raise ConfigError("lambda_grid must not be empty")
+        try:
+            check_nbits(self.nbits)
+            check_fpr_window(self.fpr_lo, self.fpr_hi)
+            for lam in self.lambda_grid:
+                check_lambda(lam)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
 
 _SECTIONS: dict[str, tuple[str, ...]] = {

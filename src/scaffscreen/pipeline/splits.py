@@ -16,10 +16,12 @@ folds, which is verified after assignment.
 from __future__ import annotations
 
 import json
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
+from ..chem.graph import MolGraph
 from ..chem.scaffold import murcko_scaffold
 from ..chem.smiles import to_smiles
 from .ingest import Assay, AssayRecord
@@ -90,14 +92,24 @@ class SplitPlan:
         )
 
 
+# Per live scaffold graph, its serialized key.
+_KEYS: "weakref.WeakKeyDictionary[MolGraph, str]" = weakref.WeakKeyDictionary()
+
+
 def scaffold_key(record: AssayRecord) -> str:
     """Scaffold identity string; empty for acyclic molecules.
 
     Identity is string-level over this package's deterministic serializer;
-    no graph canonicalization is attempted.
+    no graph canonicalization is attempted. The string is kept per live
+    scaffold graph, which lives as long as its molecule.
     """
     scaffold = murcko_scaffold(record.mol)
-    return "" if scaffold is None else to_smiles(scaffold)
+    if scaffold is None:
+        return ""
+    key = _KEYS.get(scaffold)
+    if key is None:
+        key = _KEYS[scaffold] = to_smiles(scaffold)
+    return key
 
 
 def _random_splits(assay: Assay, seed: int) -> tuple[Split, ...]:

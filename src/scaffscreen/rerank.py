@@ -38,6 +38,7 @@ __all__ = [
     "LambdaReport",
     "RerankedSet",
     "build_candidates",
+    "check_lambda",
     "lambda_sweep",
     "mmr_rerank",
     "rerank_report",
@@ -120,10 +121,14 @@ def build_candidates(
     )
 
 
-def mmr_rerank(candidates: CandidateSet, lam: float) -> RerankedSet:
-    """Greedy maximal-marginal-relevance ordering of the candidate set."""
+def check_lambda(lam: float) -> None:
     if not 0.0 <= lam <= 1.0:
         raise ValueError("lambda must lie in [0, 1]")
+
+
+def mmr_rerank(candidates: CandidateSet, lam: float) -> RerankedSet:
+    """Greedy maximal-marginal-relevance ordering of the candidate set."""
+    check_lambda(lam)
     size = candidates.size
     relevance = np.array([1.0 / (1.0 + math.exp(-s)) for s in candidates.scores])
     remaining = list(range(size))

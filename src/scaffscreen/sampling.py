@@ -152,7 +152,16 @@ def _kmeans(points: np.ndarray, k: int, seed_seq: np.random.SeedSequence) -> tup
 
 
 def silhouette(points: np.ndarray, assignments: np.ndarray) -> float:
-    """Mean silhouette over all points; singleton clusters score zero."""
+    """Mean silhouette over all points; singleton clusters score zero.
+
+    Squared distances come from the Gram identity
+    ``|p_i - p_j|^2 = |p_i|^2 + |p_j|^2 - 2 p_i . p_j``, so the work holds
+    one (m, m) matrix rather than an (m, m, d) difference broadcast. On the
+    0/1 fingerprint points that ``cluster_scaffolds`` passes, every norm and
+    dot product is a count of shared bits, an integer that float64 holds
+    exactly whatever the summation order, so the distances equal the
+    broadcast form bit for bit.
+    """
     points = np.asarray(points, dtype=np.float64)
     assignments = np.asarray(assignments)
     m = len(points)
@@ -161,7 +170,14 @@ def silhouette(points: np.ndarray, assignments: np.ndarray) -> float:
     labels = np.unique(assignments)
     if len(labels) < 2:
         raise ValueError("silhouette needs at least two clusters")
-    dists = np.sqrt(np.maximum(_squared_distances(points, points), 0.0))
+    norms = np.einsum("ij,ij->i", points, points)
+    dists = points @ points.T
+    dists *= -2.0
+    dists += norms[:, None]
+    dists += norms[None, :]
+    np.maximum(dists, 0.0, out=dists)
+    np.fill_diagonal(dists, 0.0)
+    np.sqrt(dists, out=dists)
     scores = np.zeros(m)
     for i in range(m):
         own = assignments[i]

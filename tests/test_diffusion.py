@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import gc
+import json
 import sys
 from pathlib import Path
 
@@ -27,6 +28,7 @@ from scaffscreen.diffusion import (
     posterior_distributions,
 )
 from scaffscreen.diffusion import sampler as sampler_module
+from scaffscreen.diffusion.denoisers import _request_line
 from scaffscreen.diffusion.sampler import _reverse_step, _stack
 
 HELPER = Path(__file__).parent / "helpers" / "echo_denoiser.py"
@@ -424,6 +426,27 @@ def test_external_decode_matches_a_loop_over_entries():
         want[i, j] = row
         want[j, i] = row
     assert np.array_equal(got.edge_probs, want)
+
+
+def test_external_request_matches_a_loop_over_pairs():
+    def loop_request(t, nodes, edges):
+        n = len(nodes)
+        sparse = [
+            [i, j, int(edges[i, j])]
+            for i in range(n)
+            for j in range(i + 1, n)
+            if edges[i, j] != EDGE_NONE
+        ]
+        return json.dumps({"t": int(t), "nodes": [int(v) for v in nodes], "edges": sparse}) + "\n"
+
+    rng = np.random.default_rng(8)
+    for n in (1, 2, 3, 7, 15, 30):
+        for density in (0.0, 0.3, 1.0):
+            upper = np.triu(rng.integers(1, 5, (n, n)) * (rng.random((n, n)) < density), 1)
+            edges = upper + upper.T
+            nodes = rng.integers(0, 6, n)
+            t = int(rng.integers(1, 50))
+            assert _request_line(t, nodes, edges) == loop_request(t, nodes, edges)
 
 
 def test_external_denoiser_restarts_after_close():

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from scaffscreen.chem import check_valence, murcko_scaffold, parse_smiles, to_smiles
+from scaffscreen.chem import scaffold as scaffold_module
 from scaffscreen.pipeline.cli import main
 from scaffscreen.pipeline.config import (
     ConfigError,
@@ -161,6 +162,19 @@ def test_missing_config_file_is_an_error(tmp_path):
         ({"library_fraction": 0.0}, "library_fraction"),
         ({"library_fraction": 1.5}, "library_fraction"),
         ({"eval_seeds": 0}, "eval_seeds"),
+        # Each value below would fail mid-run, after artifacts are written.
+        ({"nbits": 1000}, "power of two"),
+        ({"nbits": 4}, "power of two"),
+        ({"top_k": 0}, "top_k"),
+        ({"fpr_lo": 0.1, "fpr_hi": 0.01}, "fpr_lo < fpr_hi"),
+        ({"fpr_lo": 0.05, "fpr_hi": 0.05}, "fpr_lo < fpr_hi"),
+        ({"fpr_lo": 0.0}, "fpr_lo < fpr_hi"),
+        ({"fpr_hi": 1.5}, "fpr_lo < fpr_hi"),
+        ({"lambda_grid": (0.5, 1.5)}, "lambda"),
+        ({"lambda_grid": (-0.25,)}, "lambda"),
+        ({"lambda_grid": ()}, "lambda_grid"),
+        ({"k_min": 1}, "k_min"),
+        ({"k_min": 5, "k_max": 3}, "k_min"),
     ],
 )
 def test_semantic_validation_of_fields(kwargs, match):
@@ -351,6 +365,22 @@ def test_validation_fold_is_the_previous_test_fold(corpus_assay):
 def test_random_splits_are_seed_deterministic(corpus_assay):
     assert make_splits(corpus_assay, seed=3) == make_splits(corpus_assay, seed=3)
     assert make_splits(corpus_assay, seed=3) != make_splits(corpus_assay, seed=4)
+
+
+def test_scaffold_splits_scaffold_each_record_once(split_corpus_csv, monkeypatch):
+    # A fresh parse, so no earlier test's molecules hold memo entries.
+    assay = ingest(split_corpus_csv)
+    calls = Counter()
+    pruned = scaffold_module.scaffold_atom_indices
+
+    def counting(mol):
+        calls[id(mol)] += 1
+        return pruned(mol)
+
+    monkeypatch.setattr(scaffold_module, "scaffold_atom_indices", counting)
+    make_splits(assay, scheme="scaffold", seed=3)
+    assert 0 < sum(calls.values()) <= assay.size
+    assert max(calls.values()) == 1
 
 
 def test_scaffold_splits_have_no_scaffold_leakage(corpus_assay):

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import stats
 
 from scaffscreen.chem import parse_smiles, to_smiles
+from scaffscreen import sampling
 from scaffscreen.fingerprints import Fingerprint, ecfp
 from scaffscreen.sampling import (
     ClusterModel,
@@ -106,6 +109,46 @@ def test_clustering_is_deterministic():
     assert first.k == second.k
     assert (first.assignments == second.assignments).all()
     assert first.silhouette_score == second.silhouette_score
+
+
+def _row_by_row_silhouette(points, assignments):
+    """Reference silhouette: distances as differences, one row at a time."""
+    labels = np.unique(assignments)
+    scores = []
+    for i, own in enumerate(assignments):
+        diff = points - points[i]
+        dists = np.sqrt((diff * diff).sum(axis=1))
+        mask_own = assignments == own
+        if mask_own.sum() == 1:
+            scores.append(0.0)
+            continue
+        a = dists[mask_own].sum() / (mask_own.sum() - 1)
+        b = min(dists[assignments == other].mean() for other in labels if other != own)
+        denom = max(a, b)
+        scores.append(0.0 if denom == 0.0 else (b - a) / denom)
+    return float(np.mean(scores))
+
+
+def test_k_selection_runs_in_bounded_memory_and_picks_the_same_k(monkeypatch):
+    rng = np.random.default_rng(5)
+    fps = [
+        Fingerprint(bits=int.from_bytes(row.tobytes(), "little"), nbits=1024, radius=2)
+        for row in np.packbits(rng.random((150, 1024)) < 0.05, axis=1, bitorder="little")
+    ]
+    tracemalloc.start()
+    try:
+        model = cluster_scaffolds(fps, k_range=range(2, 5), seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # One (150, 150, 1024) float64 broadcast alone would be 184 MB.
+    assert peak < 20 * 2**20
+
+    monkeypatch.setattr(sampling, "silhouette", _row_by_row_silhouette)
+    reference = cluster_scaffolds(fps, k_range=range(2, 5), seed=3)
+    assert model.k == reference.k
+    assert model.silhouette_score == reference.silhouette_score
+    assert np.array_equal(model.assignments, reference.assignments)
 
 
 def test_identical_fingerprints_fall_back_to_one_cluster():

@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+import gc
+import weakref
+
 import networkx as nx
 import pytest
 
 from scaffscreen.chem import murcko_scaffold, parse_smiles, to_smiles
+from scaffscreen.chem import scaffold as scaffold_module
 from scaffscreen.chem.scaffold import scaffold_atom_indices
 
 
@@ -75,6 +79,27 @@ def test_scaffold_is_idempotent():
         if scaffold is None:
             continue
         assert murcko_scaffold(scaffold) == scaffold
+
+
+@pytest.mark.parametrize(
+    "smiles",
+    ["CCCOc1ccc2ncsc2c1", "C1CCC2(CC1)CCNCC2"],
+    ids=["decorated", "own-scaffold"],
+)
+def test_memo_entry_goes_with_its_molecule(smiles):
+    mol = parse_smiles(smiles)
+    scaffold = murcko_scaffold(mol)
+    # An equal molecule parsed again shares the entry; the stored scaffold
+    # is never the molecule itself, so the entry cannot pin its own key.
+    assert murcko_scaffold(parse_smiles(smiles)) is scaffold
+    assert scaffold is not mol
+    assert mol in scaffold_module._MEMO
+    scaffold_alive = weakref.ref(scaffold)
+    del mol, scaffold
+    gc.collect()
+    # The scaffold graph went too, and with it the facts keyed by it.
+    assert scaffold_alive() is None
+    assert parse_smiles(smiles) not in scaffold_module._MEMO
 
 
 def test_scaffold_contains_every_ring_atom():
