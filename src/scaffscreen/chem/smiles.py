@@ -13,6 +13,7 @@ graphs with different atom numberings may serialize differently.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import warnings
 
@@ -52,6 +53,11 @@ _BOND_CHARS = {
     "#": BondOrder.TRIPLE,
     ":": BondOrder.AROMATIC,
 }
+
+
+# One shared Atom per (element, aromatic, charge, explicit_h): equal graphs then
+# compare their atoms by identity, not through the dataclass __eq__.
+_atom = functools.lru_cache(maxsize=4096)(Atom)
 
 
 def _parse_bracket(text: str, start: int) -> tuple[Atom, int]:
@@ -145,7 +151,7 @@ def _parse_bracket(text: str, start: int) -> tuple[Atom, int]:
             raise fail(f"unexpected character {ch!r} in bracket atom")
 
     try:
-        atom = Atom(element=element, aromatic=aromatic, charge=charge, explicit_h=h_count)
+        atom = _atom(element, aromatic, charge, h_count)
     except ValueError as exc:
         raise fail(str(exc)) from None
     return atom, end + 1
@@ -217,13 +223,13 @@ def parse_smiles(text: str) -> MolGraph:
                 matched_element = sym
                 break
         if matched_element is not None:
-            attach_atom(Atom(element=matched_element), pos)
+            attach_atom(_atom(matched_element, False, 0, 0), pos)
             pos += 2
         elif ch in _SINGLE_CHAR:
-            attach_atom(Atom(element=ch), pos)
+            attach_atom(_atom(ch, False, 0, 0), pos)
             pos += 1
         elif ch in _AROMATIC_CHARS:
-            attach_atom(Atom(element=ch.upper(), aromatic=True), pos)
+            attach_atom(_atom(ch.upper(), True, 0, 0), pos)
             pos += 1
         elif ch == "[":
             atom, nxt = _parse_bracket(text, pos)

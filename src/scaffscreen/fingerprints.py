@@ -39,6 +39,7 @@ __all__ = [
     "ecfp",
     "fingerprint_matrix",
     "tanimoto",
+    "tanimoto_matrix",
 ]
 
 DEFAULT_RADIUS = 2
@@ -74,8 +75,7 @@ class Fingerprint:
         return self.bits.bit_count()
 
     def to_array(self) -> np.ndarray:
-        packed = np.frombuffer(self.bits.to_bytes(self.nbits // 8, "little"), dtype=np.uint8)
-        return np.unpackbits(packed, bitorder="little").astype(np.float64)
+        return fingerprint_matrix([self])[0]
 
     def to_hex(self) -> str:
         return f"{self.bits:0{self.nbits // 4}x}"
@@ -179,3 +179,16 @@ def fingerprint_matrix(
     )
     rows = np.unpackbits(packed.reshape(len(fps), width // 8), axis=1, bitorder="little")
     return rows.astype(dtype, copy=False)
+
+
+def tanimoto_matrix(fps: Sequence[Fingerprint]) -> np.ndarray:
+    """Every pair's :func:`tanimoto`, bit for bit, as an (m, m) float64 matrix.
+
+    With ``G`` the Gram product of the 0/1 rows, pair (i, j) shares ``G[i, j]``
+    bits of ``G[i, i] + G[j, j] - G[i, j]``: counts, exact in any sum order.
+    """
+    rows = fingerprint_matrix(fps)
+    shared = rows @ rows.T
+    counts = shared.diagonal()
+    union = counts[:, None] + counts[None, :] - shared
+    return np.divide(shared, union, out=np.ones_like(shared), where=union > 0)

@@ -33,7 +33,8 @@ sd_k
     Scaffold diversity: one minus the mean pairwise Tanimoto similarity
     of the scaffold fingerprints of k molecules, using this package's
     scaffold extraction and fingerprinting (acyclic molecules share the
-    zero fingerprint and count as mutually identical).
+    zero fingerprint and count as mutually identical). The pairs of one
+    Tanimoto matrix are summed one by one in row-major order.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ import numpy as np
 
 from .chem.graph import MolGraph
 from .chem.scaffold import murcko_scaffold
-from .fingerprints import DEFAULT_NBITS, DEFAULT_RADIUS, Fingerprint, ecfp, tanimoto
+from .fingerprints import DEFAULT_NBITS, DEFAULT_RADIUS, Fingerprint, ecfp, tanimoto_matrix
 
 __all__ = [
     "DegenerateLabels",
@@ -57,6 +58,7 @@ __all__ = [
     "dcg_k",
     "ef_k",
     "log_auc",
+    "mean_upper_triangle",
     "pairwise_mean_tanimoto",
     "sd_k",
     "write_metric_report",
@@ -177,14 +179,17 @@ def dcg_k(ranked: RankedList, k: int = 100) -> float:
 
 def pairwise_mean_tanimoto(fps: Sequence[Fingerprint]) -> float:
     """Mean Tanimoto over all unordered pairs; needs at least two entries."""
-    k = len(fps)
+    return mean_upper_triangle(tanimoto_matrix(fps))
+
+
+def mean_upper_triangle(sim: np.ndarray) -> float:
+    """Mean above the diagonal, added one by one in row-major (pair-loop) order."""
+    # np.sum would add pairwise, which can move the sixth decimal.
+    k = len(sim)
     if k < 2:
-        raise ValueError("need at least two fingerprints")
-    total = 0.0
-    for i in range(k):
-        for j in range(i + 1, k):
-            total += tanimoto(fps[i], fps[j])
-    return total / (k * (k - 1) / 2)
+        raise ValueError("need at least two entries")
+    upper = sim[np.triu_indices(k, 1)]
+    return float(np.add.accumulate(upper)[-1]) / (k * (k - 1) / 2)
 
 
 def sd_k(

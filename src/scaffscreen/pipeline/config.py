@@ -76,12 +76,14 @@ class RunConfig:
             raise ConfigError(f"unknown denoiser {self.denoiser!r}")
         if not 0.0 < self.library_fraction <= 1.0:
             raise ConfigError("library_fraction must lie in (0, 1]")
-        if self.eval_seeds < 1:
-            raise ConfigError("eval_seeds must be positive")
+        lows = dict(eval_seeds=1, timesteps=1, batch_size=1, candidate_cap=1, top_k=2, radius=0)
+        for name, low in lows.items():  # top_k >= 2: sd@k compares pairs
+            if getattr(self, name) < low:
+                raise ConfigError(f"{name} must be at least {low}")
         if not 2 <= self.k_min <= self.k_max:
             raise ConfigError("need 2 <= k_min <= k_max")
-        if self.top_k < 1:
-            raise ConfigError("top_k must be positive")
+        if not self.bedroc_alpha > 0.0:
+            raise ConfigError("bedroc_alpha must be positive")
         if not self.lambda_grid:
             raise ConfigError("lambda_grid must not be empty")
         try:

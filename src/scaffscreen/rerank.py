@@ -13,6 +13,11 @@ raw score, then to the earlier input position. With lambda = 1 the
 original score order is reproduced exactly; the first pick never depends
 on lambda.
 
+Each candidate set computes one Tanimoto matrix, which every lambda and
+both diversity figures read. A step takes the first maximum of the
+objective vector; as candidates are in descending score order (ties by
+position), that is the candidate the tie rule above picks.
+
 Whole-molecule fingerprints can be substituted for scaffold fingerprints
 via ``candidate_fingerprint(..., use_scaffold=False)`` for comparison runs.
 """
@@ -22,14 +27,15 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .chem.graph import MolGraph
 from .chem.scaffold import murcko_scaffold
-from .fingerprints import DEFAULT_NBITS, DEFAULT_RADIUS, Fingerprint, ecfp, tanimoto
-from .metrics import DegenerateLabels, RankedList, pairwise_mean_tanimoto
+from .fingerprints import DEFAULT_NBITS, DEFAULT_RADIUS, Fingerprint, ecfp, tanimoto_matrix
+from .metrics import DegenerateLabels, RankedList, mean_upper_triangle
 
 __all__ = [
     "CandidateSet",
@@ -64,6 +70,11 @@ class CandidateSet:
     @property
     def size(self) -> int:
         return len(self.ids)
+
+    @cached_property
+    def similarity(self) -> np.ndarray:
+        """Tanimoto similarity of every pair of candidates, by position."""
+        return tanimoto_matrix(self.fingerprints)
 
 
 @dataclass(frozen=True)
@@ -129,44 +140,21 @@ def check_lambda(lam: float) -> None:
 def mmr_rerank(candidates: CandidateSet, lam: float) -> RerankedSet:
     """Greedy maximal-marginal-relevance ordering of the candidate set."""
     check_lambda(lam)
-    size = candidates.size
     relevance = np.array([1.0 / (1.0 + math.exp(-s)) for s in candidates.scores])
-    remaining = list(range(size))
-    max_sim = np.zeros(size)
-    order: list[int] = []
-    objective: list[float] = []
-
+    max_sim = np.zeros(candidates.size)
+    taken = np.zeros(candidates.size, dtype=bool)
     # Seed with the highest raw score; candidates are already sorted with
     # deterministic tie-breaks, so that is position 0.
-    def take(pos_in_remaining: int, value: float) -> None:
-        chosen = remaining.pop(pos_in_remaining)
-        order.append(chosen)
-        objective.append(value)
-        for k in remaining:
-            sim = tanimoto(candidates.fingerprints[chosen], candidates.fingerprints[k])
-            if sim > max_sim[k]:
-                max_sim[k] = sim
-
-    take(0, float(lam * relevance[0]))
-    while remaining:
-        best_pos = 0
-        best_key: tuple[float, float, int] | None = None
-        for pos, k in enumerate(remaining):
-            value = lam * relevance[k] - (1.0 - lam) * max_sim[k]
-            # Higher objective, then higher raw score, then earlier input position.
-            key = (value, candidates.scores[k], -k)
-            if best_key is None or key > best_key:
-                best_key = key
-                best_pos = pos
-        assert best_key is not None
-        take(best_pos, best_key[0])
-
-    return RerankedSet(
-        ids=tuple(candidates.ids[k] for k in order),
-        objective=np.array(objective),
-        lam=lam,
-        candidates=candidates,
-    )
+    order, objective = [0], [float(lam * relevance[0])]
+    for _ in range(1, candidates.size):
+        taken[order[-1]] = True
+        np.maximum(max_sim, candidates.similarity[order[-1]], out=max_sim)
+        values = lam * relevance - (1.0 - lam) * max_sim
+        values[taken] = -np.inf
+        order.append(int(values.argmax()))
+        objective.append(values[order[-1]])
+    ids = tuple(candidates.ids[k] for k in order)
+    return RerankedSet(ids, np.array(objective), lam, candidates)
 
 
 @dataclass(frozen=True)
@@ -178,13 +166,7 @@ class LambdaReport:
     sd_after: float
 
 
-def _diversity(fps: Sequence[Fingerprint]) -> float:
-    return 1.0 - pairwise_mean_tanimoto(fps)
-
-
-def rerank_report(
-    original: RankedList, reranked: RerankedSet, k: int = 100
-) -> LambdaReport:
+def rerank_report(original: RankedList, reranked: RerankedSet, k: int = 100) -> LambdaReport:
     """Paired enrichment and scaffold diversity at depth k, before vs after.
 
     "Before" is the candidate (score) order; "after" is the reranked
@@ -203,13 +185,18 @@ def rerank_report(
         hits = sum(label_of[i] for i in ids[:k])
         return (hits / k) / base_rate
 
-    fp_of = dict(zip(candidates.ids, candidates.fingerprints))
+    position = {record_id: p for p, record_id in enumerate(candidates.ids)}
+
+    def sd_of(ids: Sequence[str]) -> float:
+        top = [position[i] for i in ids[:k]]
+        return 1.0 - mean_upper_triangle(candidates.similarity[np.ix_(top, top)])
+
     return LambdaReport(
         lam=reranked.lam,
         ef_before=ef_of(candidates.ids),
         ef_after=ef_of(reranked.ids),
-        sd_before=_diversity([fp_of[i] for i in candidates.ids[:k]]),
-        sd_after=_diversity([fp_of[i] for i in reranked.ids[:k]]),
+        sd_before=sd_of(candidates.ids),
+        sd_after=sd_of(reranked.ids),
     )
 
 
@@ -219,9 +206,7 @@ def lambda_sweep(
     lambdas: Sequence[float] = DEFAULT_LAMBDA_GRID,
     k: int = 100,
 ) -> list[LambdaReport]:
-    return [
-        rerank_report(original, mmr_rerank(candidates, lam), k=k) for lam in lambdas
-    ]
+    return [rerank_report(original, mmr_rerank(candidates, lam), k=k) for lam in lambdas]
 
 
 def write_sweep_csv(path, reports: Sequence[LambdaReport]) -> None:

@@ -10,6 +10,11 @@ the weight distribution, then one of its members uniformly.
 k-means runs with k-means++ seeding, 10 restarts per k, at most 100 Lloyd
 iterations, and stops once the largest centroid shift drops below 1e-6.
 Distances are Euclidean over the raw 0/1 fingerprint vectors.
+
+k-means runs on the distinct rows with their counts, which is exact: a
+point's distances depend only on its row, draws, sums, reseeds and labels
+still run over all points, and a centroid's count-weighted row sum is the
+same integer per bit as the sum over its members.
 """
 
 from __future__ import annotations
@@ -85,66 +90,87 @@ class ScaffoldLibrary:
         return len(self.entries)
 
     def cluster_counts(self, k: int) -> np.ndarray:
-        counts = np.zeros(k, dtype=np.int64)
-        for entry in self.entries:
-            counts[entry.cluster_id] += 1
-        return counts
+        ids = np.array([entry.cluster_id for entry in self.entries], dtype=np.int64)
+        return np.bincount(ids, minlength=k)
+
+
+# Lloyd's distances broadcast (rows, k, nbits); this bounds one block of rows.
+_BLOCK_BYTES = 8 * 2**20
 
 
 def _squared_distances(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    diff = points[:, None, :] - centers[None, :, :]
-    return np.einsum("ijk,ijk->ij", diff, diff)
+    step = max(1, _BLOCK_BYTES // (8 * centers.size))
+    blocks = (points[s : s + step, None, :] - centers for s in range(0, len(points), step))
+    return np.concatenate([np.einsum("ijk,ijk->ij", diff, diff) for diff in blocks])
 
 
-def _kmeans_plus_plus(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    m = points.shape[0]
-    centers = np.empty((k, points.shape[1]))
+def _kmeans_plus_plus(
+    rows: np.ndarray, inverse: np.ndarray, k: int, rng: np.random.Generator
+) -> np.ndarray:
+    m = len(inverse)
+    centers = np.empty((k, rows.shape[1]))
     first = rng.integers(m)
-    centers[0] = points[first]
-    closest = _squared_distances(points, centers[:1])[:, 0]
+    centers[0] = rows[inverse[first]]
+    closest = _squared_distances(rows, centers[:1])[:, 0]
     for c in range(1, k):
-        total = closest.sum()
+        per_point = closest[inverse]
+        total = per_point.sum()
         if total <= 0.0:
             idx = rng.integers(m)
         else:
-            idx = int(np.searchsorted(np.cumsum(closest / total), rng.random()))
+            idx = int(np.searchsorted(np.cumsum(per_point / total), rng.random()))
             idx = min(idx, m - 1)
-        centers[c] = points[idx]
-        closest = np.minimum(closest, ((points - centers[c]) ** 2).sum(axis=1))
+        centers[c] = rows[inverse[idx]]
+        closest = np.minimum(closest, ((rows - centers[c]) ** 2).sum(axis=1))
     return centers
 
 
-def _lloyd(points: np.ndarray, centers: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, float]:
+def _lloyd(
+    rows: np.ndarray, inverse: np.ndarray, counts: np.ndarray, centers: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, float]:
     k = centers.shape[0]
     for _ in range(KMEANS_MAX_ITER):
-        dists = _squared_distances(points, centers)
+        dists = _squared_distances(rows, centers)
         labels = dists.argmin(axis=1)
         updated = centers.copy()
         for c in range(k):
-            members = points[labels == c]
-            if len(members):
-                updated[c] = members.mean(axis=0)
+            members = labels == c
+            if members.any():
+                updated[c] = (counts[members] @ rows[members]) / counts[members].sum()
             else:
                 # Re-seed an emptied cluster with the point farthest from
                 # its current assignment.
-                worst = int(dists.min(axis=1).argmax())
-                updated[c] = points[worst]
+                worst = int(dists.min(axis=1)[inverse].argmax())
+                updated[c] = rows[inverse[worst]]
         shift = np.sqrt(((updated - centers) ** 2).sum(axis=1)).max()
         centers = updated
         if shift < KMEANS_TOL:
             break
-    dists = _squared_distances(points, centers)
+    dists = _squared_distances(rows, centers)
     labels = dists.argmin(axis=1)
-    inertia = float(dists[np.arange(len(points)), labels].sum())
-    return centers, labels, inertia
+    inertia = float(dists[np.arange(len(rows)), labels][inverse].sum())
+    return centers, labels[inverse], inertia
 
 
-def _kmeans(points: np.ndarray, k: int, seed_seq: np.random.SeedSequence) -> tuple[np.ndarray, np.ndarray]:
+def _distinct_rows(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Distinct rows of a 0/1 matrix, each point's row index, and row counts."""
+    # Keyed by packed bytes: np.unique(points, axis=0) was about 100 times slower.
+    packed = np.packbits(points != 0, axis=1)
+    keys = packed.view(np.dtype((np.void, packed.shape[1]))).reshape(-1)
+    _, first, inverse, counts = np.unique(
+        keys, return_index=True, return_inverse=True, return_counts=True
+    )
+    return points[first], inverse.reshape(-1), counts
+
+
+def _kmeans(
+    rows: np.ndarray, inverse: np.ndarray, counts: np.ndarray, k: int, seed: np.random.SeedSequence
+) -> tuple[np.ndarray, np.ndarray]:
     best: tuple[float, np.ndarray, np.ndarray] | None = None
-    for child in seed_seq.spawn(KMEANS_RESTARTS):
+    for child in seed.spawn(KMEANS_RESTARTS):
         rng = np.random.default_rng(child)
-        centers = _kmeans_plus_plus(points, k, rng)
-        centers, labels, inertia = _lloyd(points, centers, rng)
+        centers = _kmeans_plus_plus(rows, inverse, k, rng)
+        centers, labels, inertia = _lloyd(rows, inverse, counts, centers)
         if best is None or inertia < best[0]:
             best = (inertia, centers, labels)
     assert best is not None
@@ -154,13 +180,9 @@ def _kmeans(points: np.ndarray, k: int, seed_seq: np.random.SeedSequence) -> tup
 def silhouette(points: np.ndarray, assignments: np.ndarray) -> float:
     """Mean silhouette over all points; singleton clusters score zero.
 
-    Squared distances come from the Gram identity
-    ``|p_i - p_j|^2 = |p_i|^2 + |p_j|^2 - 2 p_i . p_j``, so the work holds
-    one (m, m) matrix rather than an (m, m, d) difference broadcast. On the
-    0/1 fingerprint points that ``cluster_scaffolds`` passes, every norm and
-    dot product is a count of shared bits, an integer that float64 holds
-    exactly whatever the summation order, so the distances equal the
-    broadcast form bit for bit.
+    Squared distances come from the Gram identity ``|p_i|^2 + |p_j|^2 -
+    2 p_i . p_j``. On 0/1 points each term is a bit count, exact in float64
+    in any summation order, so they equal the (m, m, d) broadcast form.
     """
     points = np.asarray(points, dtype=np.float64)
     assignments = np.asarray(assignments)
@@ -187,11 +209,7 @@ def silhouette(points: np.ndarray, assignments: np.ndarray) -> float:
             scores[i] = 0.0
             continue
         a = dists[i, mask_own].sum() / (size_own - 1)
-        b = min(
-            dists[i, assignments == other].mean()
-            for other in labels
-            if other != own
-        )
+        b = min(dists[i, assignments == other].mean() for other in labels if other != own)
         denom = max(a, b)
         scores[i] = 0.0 if denom == 0.0 else (b - a) / denom
     return float(scores.mean())
@@ -227,10 +245,11 @@ def cluster_scaffolds(
             degenerate=True,
         )
 
+    distinct = _distinct_rows(points)
     root = np.random.SeedSequence(seed)
     best: tuple[float, int, np.ndarray, np.ndarray] | None = None
     for k, child in zip(ks, root.spawn(len(ks))):
-        centers, labels = _kmeans(points, k, child)
+        centers, labels = _kmeans(*distinct, k, child)
         if len(np.unique(labels)) < 2:
             continue
         score = silhouette(points, labels)
@@ -240,12 +259,7 @@ def cluster_scaffolds(
     if best is None:
         raise ValueError("no k in k_range produced two nonempty clusters")
     score, k, centers, labels = best
-    return ClusterModel(
-        k=k,
-        centroids=centers,
-        assignments=labels.astype(np.int64),
-        silhouette_score=score,
-    )
+    return ClusterModel(k, centers, labels.astype(np.int64), silhouette_score=score)
 
 
 def sampling_weights(model: ClusterModel, epsilon: float = WEIGHT_EPSILON) -> SamplingWeights:
@@ -279,9 +293,7 @@ def sample_library(
     if len(scaffolds) != len(model.assignments):
         raise ValueError("scaffolds and assignments are misaligned")
     labels = list(source_labels) if source_labels is not None else [1] * len(scaffolds)
-    members: list[np.ndarray] = [
-        np.flatnonzero(model.assignments == c) for c in range(model.k)
-    ]
+    members = [np.flatnonzero(model.assignments == c) for c in range(model.k)]
     rng = np.random.default_rng(seed)
     clusters = rng.choice(model.k, size=n_draws, p=weights.probabilities)
     entries = []

@@ -17,6 +17,7 @@ from scaffscreen.fingerprints import (
     ecfp,
     fingerprint_matrix,
     tanimoto,
+    tanimoto_matrix,
 )
 
 
@@ -157,6 +158,31 @@ def test_tanimoto_is_symmetric_and_bounded(a, b):
     assert 0.0 <= s <= 1.0
 
 
+@st.composite
+def fingerprint_sets(draw):
+    """Dense, sparse and empty fingerprints of one width, with repeats."""
+    nbits = draw(st.sampled_from([8, 16, 64, 256, 1024]))
+    sparse = st.sets(st.integers(0, nbits - 1), max_size=12).map(
+        lambda on: sum(1 << p for p in on)
+    )
+    distinct = draw(
+        st.lists(st.one_of(st.just(0), sparse, st.integers(0, 2**nbits - 1)), min_size=1, max_size=6)
+    )
+    picks = draw(st.lists(st.sampled_from(distinct), min_size=1, max_size=12))
+    return [Fingerprint(bits=bits, nbits=nbits, radius=2) for bits in picks]
+
+
+@settings(max_examples=150, deadline=None)
+@given(fingerprint_sets())
+def test_tanimoto_matrix_equals_tanimoto_for_every_pair(fps):
+    sim = tanimoto_matrix(fps)
+    assert sim.dtype == np.float64
+    assert sim.shape == (len(fps), len(fps))
+    for i, x in enumerate(fps):
+        for j, y in enumerate(fps):
+            assert sim[i, j] == tanimoto(x, y)
+
+
 def test_width_mismatch_raises():
     x = ecfp(parse_smiles("CCO"), nbits=128)
     y = ecfp(parse_smiles("CCO"), nbits=256)
@@ -164,6 +190,8 @@ def test_width_mismatch_raises():
         tanimoto(x, y)
     with pytest.raises(WidthMismatch):
         fingerprint_matrix([x, y])
+    with pytest.raises(WidthMismatch):
+        tanimoto_matrix([x, x, y])
 
 
 def test_argument_validation():

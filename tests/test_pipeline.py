@@ -175,6 +175,12 @@ def test_missing_config_file_is_an_error(tmp_path):
         ({"lambda_grid": ()}, "lambda_grid"),
         ({"k_min": 1}, "k_min"),
         ({"k_min": 5, "k_max": 3}, "k_min"),
+        ({"top_k": 1}, "top_k"),
+        ({"candidate_cap": 0}, "candidate_cap"),
+        ({"bedroc_alpha": 0.0}, "bedroc_alpha"),
+        ({"radius": -1}, "radius"),
+        ({"timesteps": 0}, "timesteps"),
+        ({"batch_size": 0}, "batch_size"),
     ],
 )
 def test_semantic_validation_of_fields(kwargs, match):

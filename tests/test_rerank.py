@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from scaffscreen.chem import parse_smiles
-from scaffscreen.fingerprints import Fingerprint, ecfp, tanimoto
-from scaffscreen.metrics import DegenerateLabels, RankedList
+from scaffscreen import rerank
+from scaffscreen.fingerprints import Fingerprint, ecfp, tanimoto, tanimoto_matrix
+from scaffscreen.metrics import DegenerateLabels, RankedList, pairwise_mean_tanimoto
 from scaffscreen.rerank import (
     EmptyCandidates,
     build_candidates,
@@ -18,6 +19,8 @@ from scaffscreen.rerank import (
     write_sweep_csv,
 )
 from scaffscreen.chem.scaffold import murcko_scaffold
+
+from helpers import reference_similarity as reference
 
 
 def _fp(positions, nbits=64) -> Fingerprint:
@@ -240,3 +243,55 @@ def test_lambda_sweep_and_csv_layout(tmp_path):
         assert float(ef_a) == pytest.approx(report.ef_after, abs=1e-6)
         assert float(sd_b) == pytest.approx(report.sd_before, abs=1e-6)
         assert float(sd_a) == pytest.approx(report.sd_after, abs=1e-6)
+
+
+# --- exactness against the pair-loop reference --------------------------
+
+
+def _tie_heavy_sets(count: int, seed: int):
+    """Candidate sets with repeated scores and repeated or empty fingerprints."""
+    rng = np.random.default_rng(seed)
+    for n in range(count):
+        nbits = (8, 64, 1024)[n % 3]
+        size = int(rng.integers(5, 90)) if n % 10 else 160
+        pool = [_fp(rng.choice(nbits, size=int(rng.integers(1, 7)), replace=False), nbits)
+                for _ in range(int(rng.integers(1, 8)))]
+        pool.append(_fp((), nbits))
+        ids = tuple(f"m{i}" for i in range(size))
+        scores = tuple(float(v) for v in rng.choice([0.25, 0.5, 1.0, 2.0, 3.5], size=size))
+        fps = tuple(pool[int(rng.integers(len(pool)))] for _ in range(size))
+        labels = rng.integers(0, 2, size=size)
+        labels[0] = 1
+        records = [(i, s, int(v)) for i, s, v in zip(ids, scores, labels)]
+        records += [(f"neg{i}", -1.0, 0) for i in range(size)]
+        yield RankedList.from_records(records), build_candidates(ids, scores, fps)
+
+
+def test_matrix_rerank_equals_the_pair_loop_at_every_lambda():
+    for original, candidates in _tie_heavy_sets(30, seed=21):
+        k = min(candidates.size, 25)
+        for lam in (0.0, 0.25, 0.5, 0.75, 1.0, 0.3):
+            fast = mmr_rerank(candidates, lam)
+            slow = reference.mmr_rerank(candidates, lam)
+            assert fast.ids == slow.ids
+            assert fast.objective.tobytes() == slow.objective.tobytes()
+            assert rerank_report(original, fast, k=k) == reference.rerank_report(
+                original, slow, k=k
+            )
+        assert pairwise_mean_tanimoto(candidates.fingerprints) == (
+            reference.pairwise_mean_tanimoto(candidates.fingerprints)
+        )
+
+
+def test_a_sweep_builds_one_similarity_matrix(monkeypatch):
+    built = []
+
+    def counting(fps):
+        built.append(len(fps))
+        return tanimoto_matrix(fps)
+
+    monkeypatch.setattr(rerank, "tanimoto_matrix", counting)
+    original, candidates = _report_fixture()
+    lambda_sweep(original, candidates, k=3)
+    lambda_sweep(original, candidates, k=2)
+    assert built == [4]

@@ -8,7 +8,7 @@ from scipy import stats
 
 from scaffscreen.chem import parse_smiles, to_smiles
 from scaffscreen import sampling
-from scaffscreen.fingerprints import Fingerprint, ecfp
+from scaffscreen.fingerprints import Fingerprint, ecfp, fingerprint_matrix
 from scaffscreen.sampling import (
     ClusterModel,
     ScaffoldLibrary,
@@ -18,6 +18,8 @@ from scaffscreen.sampling import (
     silhouette,
     write_library_csv,
 )
+
+from helpers import reference_similarity as reference
 
 
 def _fp(positions, nbits=64) -> Fingerprint:
@@ -149,6 +151,69 @@ def test_k_selection_runs_in_bounded_memory_and_picks_the_same_k(monkeypatch):
     assert model.k == reference.k
     assert model.silhouette_score == reference.silhouette_score
     assert np.array_equal(model.assignments, reference.assignments)
+
+
+def _fingerprints(rows: np.ndarray) -> list[Fingerprint]:
+    packed = np.packbits(rows, axis=1, bitorder="little")
+    return [
+        Fingerprint(bits=int.from_bytes(row.tobytes(), "little"), nbits=rows.shape[1], radius=2)
+        for row in packed
+    ]
+
+
+def _head_heavy(rng, m: int, n_distinct: int, nbits: int) -> np.ndarray:
+    """m rows drawn from n_distinct patterns, a few of them covering most rows."""
+    patterns = rng.random((n_distinct, nbits)) < 0.08
+    weights = 1.0 / np.arange(1, n_distinct + 1) ** 2
+    return patterns[rng.choice(n_distinct, size=m, p=weights / weights.sum())]
+
+
+def test_distinct_row_kmeans_equals_the_per_point_reference(monkeypatch):
+    rng = np.random.default_rng(17)
+    cases = []
+    for n in range(24):
+        nbits = (64, 256, 1024)[n % 3]
+        m = int(rng.integers(6, 90))
+        if n % 2:
+            rows = rng.random((m, nbits)) < 0.08  # (almost surely) all distinct
+        else:
+            rows = _head_heavy(rng, m, int(rng.integers(2, 18)), nbits)
+        cases.append((_fingerprints(rows), n))
+    for fps, seed in cases:
+        points = fingerprint_matrix(fps)
+        distinct = sampling._distinct_rows(points)
+        for k in (2, 3, 7):
+            if k < len(fps):
+                ours = sampling._kmeans(*distinct, k, np.random.SeedSequence(seed))
+                theirs = reference._kmeans(points, k, np.random.SeedSequence(seed))
+                assert ours[0].tobytes() == theirs[0].tobytes()
+                assert np.array_equal(ours[1], theirs[1])
+    models = [cluster_scaffolds(fps, k_range=range(2, 6), seed=seed) for fps, seed in cases]
+    monkeypatch.setattr(sampling, "_distinct_rows", lambda points: (points,))
+    monkeypatch.setattr(sampling, "_kmeans", reference._kmeans)
+    for (fps, seed), model in zip(cases, models):
+        expected = cluster_scaffolds(fps, k_range=range(2, 6), seed=seed)
+        assert model.k == expected.k
+        assert model.centroids.tobytes() == expected.centroids.tobytes()
+        assert np.array_equal(model.assignments, expected.assignments)
+        assert model.silhouette_score == expected.silhouette_score
+
+
+def test_clustering_a_thousand_distinct_scaffolds_stays_under_50_mb():
+    # One (1000, 20, 1024) float64 difference broadcast alone is 164 MB.
+    rng = np.random.default_rng(8)
+    centers = rng.random((20, 1024)) < 0.05
+    rows = centers[np.arange(1000) % 20] ^ (rng.random((1000, 1024)) < 0.01)
+    assert len(np.unique(rows, axis=0)) == 1000
+    fps = _fingerprints(rows)
+    tracemalloc.start()
+    try:
+        model = cluster_scaffolds(fps, k_range=[2, 20], seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert model.k == 20
+    assert peak < 50 * 2**20
 
 
 def test_identical_fingerprints_fall_back_to_one_cluster():

@@ -163,6 +163,16 @@ def test_equal_graphs_hash_equal_and_the_hash_is_kept():
     assert hash(first) == value
 
 
+def test_parsed_atoms_of_equal_value_are_one_object():
+    first = parse_smiles("OCc1ccccc1[NH3+]")
+    second = parse_smiles("[NH3+]c1ccccc1CO")
+    assert first.atoms[0] is second.atoms[-1]  # O
+    assert first.atoms[1] is second.atoms[-2]  # C
+    assert first.atoms[2] is second.atoms[1]  # aromatic c
+    assert first.atoms[-1] is second.atoms[0]  # bracket [NH3+]
+    assert parse_smiles("[CH4]").atoms[0] is not parse_smiles("C").atoms[0]
+
+
 def test_roundtrip_preserves_structure_on_curated_set():
     curated = FIXED_POINTS + [
         "N#Cc1ccccc1",
