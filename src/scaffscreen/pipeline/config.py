@@ -15,6 +15,7 @@ from pathlib import Path
 from ..fingerprints import check_nbits
 from ..metrics import check_fpr_window
 from ..rerank import check_lambda
+from ..selftrain import SelfTrainConfig
 
 __all__ = [
     "ConfigError",
@@ -91,8 +92,14 @@ class RunConfig:
             check_fpr_window(self.fpr_lo, self.fpr_hi)
             for lam in self.lambda_grid:
                 check_lambda(lam)
+            self.train_config()
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+
+    def train_config(self, seed: int = 0) -> SelfTrainConfig:
+        """The self-training settings of one cell, drawing from ``seed``."""
+        names = (f.name for f in fields(SelfTrainConfig) if f.name != "seed")
+        return SelfTrainConfig(**{name: getattr(self, name) for name in names}, seed=seed)
 
 
 _SECTIONS: dict[str, tuple[str, ...]] = {

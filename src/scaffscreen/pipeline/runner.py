@@ -6,6 +6,12 @@ training and evaluation artifacts, pooled reports, and a manifest hashing
 every file. Nothing in the tree depends on wall-clock time, so rerunning
 the same configuration reproduces the directory byte for byte.
 
+``report/`` has one writer, fed from what the cells wrote: each cell's
+scores rows and the sweep read back from its rerank.csv. ``run_experiment``
+hands it the rows it has just written and ``rebuild_report`` reads them
+back, both in split and seed index order, so a rebuild of an untouched run
+rewrites every file byte for byte.
+
 Layout::
 
     <run_dir>/
@@ -61,6 +67,7 @@ from ..rerank import (
     build_candidates,
     candidate_fingerprint,
     lambda_sweep,
+    read_sweep_csv,
     write_sweep_csv,
 )
 from ..sampling import (
@@ -77,7 +84,6 @@ from ..selftrain import (
     EpochRecord,
     FingerprintClassifier,
     LabeledSet,
-    SelfTrainConfig,
     predict,
     save_checkpoint,
     self_train,
@@ -309,25 +315,12 @@ def train_cell(
     seed: int,
 ) -> tuple[FingerprintClassifier, list[EpochRecord]]:
     """Self-train one cell under ``config`` and write model.json and history.csv."""
-    train_config = SelfTrainConfig(
-        epochs=config.epochs,
-        warmup_epochs=config.warmup_epochs,
-        refresh_period=config.refresh_period,
-        confidence_threshold=config.confidence_threshold,
-        learning_rate=config.learning_rate,
-        l2_penalty=config.l2_penalty,
-        batch_size=config.batch_size,
-        lr_decay_power=config.lr_decay_power,
-        radius=config.radius,
-        nbits=config.nbits,
-        seed=seed,
-    )
     model, history = self_train(
         _labeled_set(train_records),
         pool_ids,
         pool,
         _labeled_set(valid_records),
-        train_config,
+        config.train_config(seed),
     )
     out_dir.mkdir(parents=True, exist_ok=True)
     save_checkpoint(out_dir / "model.json", model)
@@ -436,9 +429,9 @@ def rerank_cell(
         )
         sweep = lambda_sweep(ranked, candidates, config.lambda_grid, k=config.top_k)
     except (EmptyCandidates, DegenerateLabels) as exc:
-        write_sweep_csv(path, [])
+        write_sweep_csv(path, [], config.top_k)
         return None, f"{exc}, rerank skipped"
-    write_sweep_csv(path, sweep)
+    write_sweep_csv(path, sweep, config.top_k)
     return sweep, None
 
 
@@ -450,6 +443,106 @@ def _check_folds(plan: SplitPlan, by_id: dict[str, AssayRecord]) -> None:
                 raise DegenerateData(
                     f"split{i}: the {fold} fold needs both an active and an inactive"
                 )
+
+
+class _Report:
+    """The inputs of ``report/``, collected from what each cell wrote.
+
+    ``run_experiment`` and ``rebuild_report`` feed it the same way, split by
+    split and cell by cell in index order. Each cell's metrics are computed
+    here (and its metrics.json written) from its scores rows, and its sweep
+    is read back from its rerank.csv, so both callers write the same bytes.
+    Notes keep their order: per split the augment note, then per cell the
+    metric notes and the rerank-skip note, then the pooled notes.
+    """
+
+    def __init__(self, config: RunConfig, assay: Assay, notes: Sequence[str] = ()):
+        self.config = config
+        self.assay = assay
+        self.by_id = {r.record_id: r for r in assay.records}
+        self.notes = list(notes)
+        self.cell_rows: list[tuple[int, int, dict[str, float]]] = []
+        self.sweeps: list[list[LambdaReport]] = []
+        self.pooled_rows: dict[int, list] = {j: [] for j in range(config.eval_seeds)}
+        self.generated: list[tuple[str, MolGraph]] = []
+
+    def add_split(self, i: int, pool_ids, pool, note: str | None = None) -> None:
+        if note:
+            self.notes.append(f"split{i}: {note}")
+        self.generated.extend((f"s{i}_{pid}", mol) for pid, mol in zip(pool_ids, pool))
+
+    def add_cell(self, i: int, j: int, cell_dir: Path, rows, note: str | None = None) -> None:
+        where = f"split{i}/seed{j}"
+        ranked = RankedList.from_records((r, s, y) for r, _, s, y in rows)
+        mols_by_id = {r: self.by_id[r].mol for r, _, _, _ in rows}
+        values = cell_metrics(ranked, mols_by_id, self.config, self.notes, where)
+        write_metric_report(cell_dir / "metrics.json", values)
+        self.cell_rows.append((i, j, values))
+        if note:
+            self.notes.append(f"{where}: {note}")
+        sweep = read_sweep_csv(cell_dir / "rerank.csv", self.config.top_k)
+        if sweep:
+            self.sweeps.append(sweep)
+        self.pooled_rows[j].extend((r, s, y) for r, _, s, y in rows)
+
+    def write(self, report_dir: Path) -> None:
+        config, k = self.config, self.config.top_k
+        metric_names = ["logauc", "bedroc", f"ef{k}", f"dcg{k}", f"sd{k}"]
+        with open(report_dir / "aggregate.csv", "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["split", "seed"] + metric_names)
+            for i, j, values in self.cell_rows:
+                cells = [f"{values[name]:.6f}" if name in values else "" for name in metric_names]
+                writer.writerow([i, j] + cells)
+            for stat, func in (("mean", np.mean), ("std", np.std)):
+                row = [stat, ""]
+                for name in metric_names:
+                    present = [v[name] for _, _, v in self.cell_rows if name in v]
+                    row.append(f"{func(present):.6f}" if present else "")
+                writer.writerow(row)
+
+        pooled_payload: dict[str, object] = {"per_seed": []}
+        pooled_values: dict[str, list[float]] = {name: [] for name in metric_names}
+        for j, rows in self.pooled_rows.items():
+            ranked = RankedList.from_records(rows)
+            mols = {rid: self.by_id[rid].mol for rid, _, _ in rows}
+            values = cell_metrics(ranked, mols, config, self.notes, f"pooled/seed{j}")
+            pooled_payload["per_seed"].append(
+                {"seed": j, **{name: round(values[name], 6) for name in values}}
+            )
+            for name, value in values.items():
+                pooled_values[name].append(value)
+        for stat, func in (("mean", np.mean), ("std", np.std)):
+            pooled_payload[stat] = {
+                name: round(float(func(vals)), 6) for name, vals in pooled_values.items() if vals
+            }
+        with open(report_dir / "pooled_metrics.json", "w", encoding="utf-8", newline="\n") as fh:
+            json.dump(pooled_payload, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+
+        figures = ("ef_before", "ef_after", "sd_before", "sd_after")
+        means = [
+            LambdaReport(
+                lam,
+                *(float(np.mean([getattr(s[idx], f) for s in self.sweeps])) for f in figures),
+            )
+            for idx, lam in enumerate(config.lambda_grid if self.sweeps else ())
+        ]
+        write_sweep_csv(report_dir / "lambda_sweep.csv", means, k)
+
+        with open(report_dir / "umap_input.csv", "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["id", "origin", "label", "fp_hex"])
+            for record in self.assay.records:
+                fp = ecfp(record.mol, radius=config.radius, nbits=config.nbits)
+                writer.writerow([record.record_id, "assay", record.label, fp.to_hex()])
+            for gen_id, mol in self.generated:
+                fp = ecfp(mol, radius=config.radius, nbits=config.nbits)
+                writer.writerow([gen_id, "generated", "", fp.to_hex()])
+
+        with open(report_dir / "notes.json", "w", encoding="utf-8", newline="\n") as fh:
+            json.dump({"notes": list(dict.fromkeys(self.notes))}, fh, indent=2, sort_keys=True)
+            fh.write("\n")
 
 
 def run_experiment(config: RunConfig, run_dir: str | Path | None = None) -> Path:
@@ -468,19 +561,9 @@ def run_experiment(config: RunConfig, run_dir: str | Path | None = None) -> Path
     _check_folds(plan, by_id)
     plan.to_json(run_dir / "splits.json")
 
-    notes: list[str] = []
-    seeds_used: dict[str, object] = {"root": config.seed}
     augment_seeds: dict[str, int] = {}
     train_seeds: dict[str, list[int]] = {}
-
-    k = config.top_k
-    metric_names = ["logauc", "bedroc", f"ef{k}", f"dcg{k}", f"sd{k}"]
-    cell_rows: list[tuple[int, int, dict[str, float]]] = []
-    sweeps: list = []
-    pooled_rows: dict[int, list[tuple[str, float, int]]] = {
-        j: [] for j in range(config.eval_seeds)
-    }
-    generated_for_umap: list[tuple[str, MolGraph]] = []
+    report = _Report(config, assay)
 
     for i, split in enumerate(plan.splits):
         split_dir = run_dir / "splits" / f"split{i}"
@@ -495,13 +578,8 @@ def run_experiment(config: RunConfig, run_dir: str | Path | None = None) -> Path
             aug_seed = derive_seed(config.seed, "augment", i)
             augment_seeds[str(i)] = aug_seed
             products = write_augmentation(split_dir, train_records, config, aug_seed)
-            if products.note:
-                notes.append(f"split{i}: {products.note}")
-            pool_ids = products.pool_ids
-            pool = products.pool
-            generated_for_umap.extend(
-                (f"s{i}_{pid}", mol) for pid, mol in zip(pool_ids, pool)
-            )
+            pool_ids, pool = products.pool_ids, products.pool
+            report.add_split(i, pool_ids, pool, products.note)
 
         train_seeds[str(i)] = []
         for j in range(config.eval_seeds):
@@ -519,126 +597,14 @@ def run_experiment(config: RunConfig, run_dir: str | Path | None = None) -> Path
             ]
             write_scores_csv(cell_dir / "scores.csv", rows)
             ranked = RankedList.from_records((r, s, y) for r, _, s, y in rows)
-            where = f"split{i}/seed{j}"
-            values = cell_metrics(ranked, mols_by_id, config, notes, where)
-            write_metric_report(cell_dir / "metrics.json", values)
-            cell_rows.append((i, j, values))
+            _, note = rerank_cell(cell_dir / "rerank.csv", ranked, mols_by_id, config)
+            report.add_cell(i, j, cell_dir, rows, note)
 
-            sweep, note = rerank_cell(cell_dir / "rerank.csv", ranked, mols_by_id, config)
-            if sweep is None:
-                notes.append(f"{where}: {note}")
-            else:
-                sweeps.append(sweep)
-
-            pooled_rows[j].extend((r, s, y) for r, _, s, y in rows)
-
-    _write_report(
-        run_dir,
-        config,
-        assay,
-        metric_names,
-        cell_rows,
-        sweeps,
-        pooled_rows,
-        generated_for_umap,
-        notes,
-    )
-
-    seeds_used["augment"] = augment_seeds
-    seeds_used["train"] = train_seeds
+    report.write(run_dir / "report")
+    seeds_used = {"root": config.seed, "augment": augment_seeds, "train": train_seeds}
     assay_hash = hashlib.sha256(Path(config.assay).read_bytes()).hexdigest()
     _write_manifest(run_dir, config_text, assay, seeds_used, assay_hash)
     return run_dir
-
-
-def _write_report(
-    run_dir: Path,
-    config: RunConfig,
-    assay: Assay,
-    metric_names: list[str],
-    cell_rows,
-    sweeps,
-    pooled_rows,
-    generated_for_umap,
-    notes: list[str],
-) -> None:
-    report_dir = run_dir / "report"
-    by_id = {r.record_id: r for r in assay.records}
-
-    with open(report_dir / "aggregate.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["split", "seed"] + metric_names)
-        for i, j, values in cell_rows:
-            writer.writerow(
-                [i, j] + [f"{values[name]:.6f}" if name in values else "" for name in metric_names]
-            )
-        for stat, func in (("mean", np.mean), ("std", np.std)):
-            row = [stat, ""]
-            for name in metric_names:
-                present = [v[name] for _, _, v in cell_rows if name in v]
-                row.append(f"{func(present):.6f}" if present else "")
-            writer.writerow(row)
-
-    pooled_payload: dict[str, object] = {"per_seed": []}
-    pooled_values: dict[str, list[float]] = {name: [] for name in metric_names}
-    pool_notes: list[str] = []
-    for j in sorted(pooled_rows):
-        rows = pooled_rows[j]
-        ranked = RankedList.from_records(rows)
-        mols = {rid: by_id[rid].mol for rid, _, _ in rows}
-        values = cell_metrics(ranked, mols, config, pool_notes, f"pooled/seed{j}")
-        pooled_payload["per_seed"].append(
-            {"seed": j, **{name: round(values[name], 6) for name in values}}
-        )
-        for name, value in values.items():
-            pooled_values[name].append(value)
-    pooled_payload["mean"] = {
-        name: round(float(np.mean(vals)), 6)
-        for name, vals in pooled_values.items()
-        if vals
-    }
-    pooled_payload["std"] = {
-        name: round(float(np.std(vals)), 6)
-        for name, vals in pooled_values.items()
-        if vals
-    }
-    notes.extend(pool_notes)
-    with open(report_dir / "pooled_metrics.json", "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(pooled_payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-    with open(report_dir / "lambda_sweep.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["lambda", "ef100_before", "ef100_after", "sd100_before", "sd100_after"]
-        )
-        if sweeps:
-            for idx, lam in enumerate(config.lambda_grid):
-                reports = [sweep[idx] for sweep in sweeps]
-                writer.writerow(
-                    [
-                        f"{lam:g}",
-                        f"{np.mean([r.ef_before for r in reports]):.6f}",
-                        f"{np.mean([r.ef_after for r in reports]):.6f}",
-                        f"{np.mean([r.sd_before for r in reports]):.6f}",
-                        f"{np.mean([r.sd_after for r in reports]):.6f}",
-                    ]
-                )
-
-    with open(report_dir / "umap_input.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["id", "origin", "label", "fp_hex"])
-        for record in assay.records:
-            fp = ecfp(record.mol, radius=config.radius, nbits=config.nbits)
-            writer.writerow([record.record_id, "assay", record.label, fp.to_hex()])
-        for gen_id, mol in generated_for_umap:
-            fp = ecfp(mol, radius=config.radius, nbits=config.nbits)
-            writer.writerow([gen_id, "generated", "", fp.to_hex()])
-
-    unique_notes = list(dict.fromkeys(notes))
-    with open(report_dir / "notes.json", "w", encoding="utf-8", newline="\n") as fh:
-        json.dump({"notes": unique_notes}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def read_scores_csv(path: Path) -> list[tuple[str, str, float, int]]:
@@ -656,62 +622,32 @@ def read_scores_csv(path: Path) -> list[tuple[str, str, float, int]]:
 def rebuild_report(run_dir: str | Path) -> Path:
     """Regenerate the report tables of an existing run from its artifacts.
 
-    Re-reads per-cell scores and rerank files; no model is retrained. The
-    manifest is rewritten afterwards so the hashes stay in step (seeds are
-    carried over from the previous manifest when present).
+    Re-reads each cell's scores and rerank files in the run's split and seed
+    order and builds the report through the run's own collector, so a
+    rebuild of an untouched run rewrites every file byte for byte; no model
+    is retrained. The manifest is rewritten afterwards so the hashes stay in
+    step (seeds are carried over from the previous manifest when present).
     """
     run_dir = Path(run_dir)
     config = load_config(run_dir / "config.ini")
     config_text = (run_dir / "config.ini").read_text(encoding="utf-8")
     assay = ingest(config.assay)
-    by_id = {r.record_id: r for r in assay.records}
 
-    k = config.top_k
-    metric_names = ["logauc", "bedroc", f"ef{k}", f"dcg{k}", f"sd{k}"]
     # Keep run-time notes (for example rerank-skip reasons) that cannot be
     # reconstructed from the surviving artifacts.
     notes: list[str] = []
     notes_path = run_dir / "report" / "notes.json"
     if notes_path.exists():
-        notes = list(json.loads(notes_path.read_text(encoding="utf-8")).get("notes", []))
-    cell_rows: list[tuple[int, int, dict[str, float]]] = []
-    sweeps: list = []
-    pooled_rows: dict[int, list[tuple[str, float, int]]] = {}
-    generated_for_umap: list[tuple[str, MolGraph]] = []
-
-    for split_dir in sorted((run_dir / "splits").glob("split*")):
-        i = int(split_dir.name[len("split"):])
-        generated = split_dir / "generated.csv"
-        if generated.exists():
-            pool_ids, pool = read_generated_pool(generated)
-            generated_for_umap.extend(
-                (f"s{i}_{pid}", mol) for pid, mol in zip(pool_ids, pool)
-            )
-        for cell_dir in sorted(split_dir.glob("seed*")):
-            j = int(cell_dir.name[len("seed"):])
-            rows = read_scores_csv(cell_dir / "scores.csv")
-            ranked = RankedList.from_records((r, s, y) for r, _, s, y in rows)
-            mols_by_id = {r: by_id[r].mol for r, _, _, _ in rows}
-            where = f"split{i}/seed{j}"
-            values = cell_metrics(ranked, mols_by_id, config, notes, where)
-            write_metric_report(cell_dir / "metrics.json", values)
-            cell_rows.append((i, j, values))
-            sweep = _read_sweep_csv(cell_dir / "rerank.csv")
-            if sweep is not None:
-                sweeps.append(sweep)
-            pooled_rows.setdefault(j, []).extend((r, s, y) for r, _, s, y in rows)
-
-    _write_report(
-        run_dir,
-        config,
-        assay,
-        metric_names,
-        cell_rows,
-        sweeps,
-        pooled_rows,
-        generated_for_umap,
-        notes,
-    )
+        notes = json.loads(notes_path.read_text(encoding="utf-8")).get("notes", [])
+    report = _Report(config, assay, notes)
+    for i in range(len(SplitPlan.from_json(run_dir / "splits.json").splits)):
+        split_dir = run_dir / "splits" / f"split{i}"
+        if config.augment_enabled:
+            report.add_split(i, *read_generated_pool(split_dir / "generated.csv"))
+        for j in range(config.eval_seeds):
+            cell_dir = split_dir / f"seed{j}"
+            report.add_cell(i, j, cell_dir, read_scores_csv(cell_dir / "scores.csv"))
+    report.write(run_dir / "report")
 
     seeds_used: dict[str, object] = {"root": config.seed}
     manifest_path = run_dir / "manifest.json"
@@ -721,26 +657,6 @@ def rebuild_report(run_dir: str | Path) -> Path:
     assay_hash = hashlib.sha256(Path(config.assay).read_bytes()).hexdigest()
     _write_manifest(run_dir, config_text, assay, seeds_used, assay_hash)
     return run_dir
-
-
-def _read_sweep_csv(path: Path):
-    """Parse a per-cell rerank csv back into row tuples; None when empty."""
-    if not path.exists():
-        return None
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        rows = [
-            LambdaReport(
-                lam=float(row[0]),
-                ef_before=float(row[1]),
-                ef_after=float(row[2]),
-                sd_before=float(row[3]),
-                sd_after=float(row[4]),
-            )
-            for row in reader
-        ]
-    return rows or None
 
 
 def _write_manifest(

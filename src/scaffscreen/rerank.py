@@ -47,6 +47,7 @@ __all__ = [
     "check_lambda",
     "lambda_sweep",
     "mmr_rerank",
+    "read_sweep_csv",
     "rerank_report",
     "write_sweep_csv",
 ]
@@ -209,12 +210,15 @@ def lambda_sweep(
     return [rerank_report(original, mmr_rerank(candidates, lam), k=k) for lam in lambdas]
 
 
-def write_sweep_csv(path, reports: Sequence[LambdaReport]) -> None:
+def _sweep_header(k: int) -> list[str]:
+    return ["lambda", f"ef{k}_before", f"ef{k}_after", f"sd{k}_before", f"sd{k}_after"]
+
+
+def write_sweep_csv(path, reports: Sequence[LambdaReport], k: int = 100) -> None:
+    """One row per lambda, figures to six decimals, headed for depth ``k``."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["lambda", "ef100_before", "ef100_after", "sd100_before", "sd100_after"]
-        )
+        writer.writerow(_sweep_header(k))
         for report in reports:
             writer.writerow(
                 [
@@ -225,3 +229,13 @@ def write_sweep_csv(path, reports: Sequence[LambdaReport]) -> None:
                     f"{report.sd_after:.6f}",
                 ]
             )
+
+
+def read_sweep_csv(path, k: int = 100) -> list[LambdaReport]:
+    """The rows of a sweep csv written for depth ``k``, as the values it holds."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header != _sweep_header(k):
+            raise ValueError(f"{path}: unexpected sweep header {header!r}")
+        return [LambdaReport(*(float(v) for v in row)) for row in reader]

@@ -1,10 +1,13 @@
-"""The benchmark's layer trace reaches into the program by name.
+"""The benchmark reaches into the program by name and checks its outputs.
 
 ``screenbench/layertrace.py`` rebinds every ``(module, attribute)`` of its
 ``TARGETS`` and raises when one is missing, and its counters read some
 positional arguments of the traced calls. A rename or deletion in the
 program that breaks either should fail here before it breaks a traced
 benchmark run. The module is loaded from its path and never installed.
+
+``screenbench/checks.py`` recomputes the report's lambda sweep from the
+cells' rerank.csv files; the mini run's report must equal that oracle.
 """
 
 from __future__ import annotations
@@ -12,9 +15,11 @@ from __future__ import annotations
 import importlib
 import importlib.util
 import inspect
+import sys
 from pathlib import Path
 
-LAYERTRACE = Path(__file__).resolve().parents[1] / "screenbench" / "layertrace.py"
+SCREENBENCH = Path(__file__).resolve().parents[1] / "screenbench"
+LAYERTRACE = SCREENBENCH / "layertrace.py"
 
 # (module, attribute, position, parameter) read by the layer trace's counters;
 # positions count ``self`` for methods, as the wrappers see it.
@@ -29,11 +34,16 @@ COUNTED_ARGUMENTS = (
 )
 
 
-def _targets():
-    spec = importlib.util.spec_from_file_location("layertrace_targets", LAYERTRACE)
+def _load(name: str, path: Path):
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module  # dataclasses look up their module while the class is built
     spec.loader.exec_module(module)
-    return module.TARGETS
+    return module
+
+
+def _targets():
+    return _load("layertrace_targets", LAYERTRACE).TARGETS
 
 
 def _resolve(module_name: str, attribute: str):
@@ -61,3 +71,10 @@ def test_counted_arguments_keep_their_positions():
         assert (module_name, attribute) in traced
         parameters = list(inspect.signature(_resolve(module_name, attribute)).parameters)
         assert parameters[position] == name, f"{module_name}:{attribute} {parameters}"
+
+
+def test_the_report_sweep_is_the_benchmark_oracle(mini_run, monkeypatch):
+    monkeypatch.syspath_prepend(str(SCREENBENCH))  # checks.py imports its sibling decks.py
+    checks = _load("screenbench_checks", SCREENBENCH / "checks.py")
+    expected = checks.expected_sweep(mini_run, checks.Evaluation.read(mini_run / "config.ini"))
+    assert (mini_run / "report" / "lambda_sweep.csv").read_text(encoding="utf-8") == expected

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import platform
@@ -32,7 +33,7 @@ from scaffscreen.pipeline.runner import (
     run_experiment,
     write_scores_csv,
 )
-from scaffscreen.rerank import write_sweep_csv
+from scaffscreen.rerank import LambdaReport, write_sweep_csv
 from scaffscreen.selftrain import DegenerateData
 from scaffscreen.pipeline.splits import (
     SplitPlan,
@@ -96,7 +97,7 @@ def test_load_reads_values_from_every_section(tmp_path):
         "radius = 3\n"
         "nbits = 512\n"
         "[train]\n"
-        "epochs = 17\n"
+        "epochs = 27\n"
         "l2_penalty = 0.01\n"
         "[evaluate]\n"
         "top_k = 50\n"
@@ -113,7 +114,7 @@ def test_load_reads_values_from_every_section(tmp_path):
     assert config.library_fraction == 0.25
     assert config.radius == 3
     assert config.nbits == 512
-    assert config.epochs == 17
+    assert config.epochs == 27
     assert config.l2_penalty == 0.01
     assert config.top_k == 50
     assert config.lambda_grid == (0.0, 0.5, 1.0)
@@ -181,11 +182,22 @@ def test_missing_config_file_is_an_error(tmp_path):
         ({"radius": -1}, "radius"),
         ({"timesteps": 0}, "timesteps"),
         ({"batch_size": 0}, "batch_size"),
+        ({"epochs": 6, "warmup_epochs": 7}, "warmup_epochs"),
+        ({"confidence_threshold": 0.0}, "confidence threshold"),
+        ({"epochs": 0}, "epochs must be positive"),
+        ({"refresh_period": 0}, "refresh_period"),
     ],
 )
 def test_semantic_validation_of_fields(kwargs, match):
     with pytest.raises(ConfigError, match=match):
         RunConfig(**kwargs)
+
+
+def test_each_cell_trains_under_the_run_settings():
+    config = RunConfig(epochs=30, warmup_epochs=4, refresh_period=3, learning_rate=0.05, nbits=512)
+    cell = config.train_config(seed=17)
+    assert (cell.epochs, cell.warmup_epochs, cell.refresh_period) == (30, 4, 3)
+    assert (cell.learning_rate, cell.nbits, cell.radius, cell.seed) == (0.05, 512, 2, 17)
 
 
 def test_external_denoiser_spec_is_accepted():
@@ -631,43 +643,6 @@ def test_augmentation_falls_back_below_the_requested_k_range():
 # --- experiment runner ----------------------------------------------------
 
 
-@pytest.fixture(scope="module")
-def mini_assay_csv(tmp_path_factory) -> Path:
-    deck = make_benchmark_deck(seed=5, n_molecules=150)
-    path = tmp_path_factory.mktemp("mini") / "mini_deck.csv"
-    write_deck_csv(deck, path)
-    return path
-
-
-@pytest.fixture(scope="module")
-def mini_config(mini_assay_csv) -> RunConfig:
-    return RunConfig(
-        assay=str(mini_assay_csv),
-        seed=11,
-        eval_seeds=1,
-        timesteps=5,
-        library_fraction=0.05,
-        k_max=4,
-        nbits=256,
-        epochs=6,
-        warmup_epochs=2,
-        refresh_period=2,
-        batch_size=32,
-        top_k=10,
-        candidate_cap=50,
-        lambda_grid=(0.0, 1.0),
-    )
-
-
-@pytest.fixture(scope="module")
-def mini_run(mini_config, tmp_path_factory) -> Path:
-    run_dir = tmp_path_factory.mktemp("run") / "baseline"
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        run_experiment(mini_config, run_dir)
-    return run_dir
-
-
 def _tree(run_dir: Path) -> dict[str, bytes]:
     return {
         p.relative_to(run_dir).as_posix(): p.read_bytes()
@@ -760,7 +735,7 @@ def test_pooled_metrics_cover_each_seed(mini_run):
 
 def test_lambda_sweep_report_covers_the_grid(mini_run, mini_config):
     lines = (mini_run / "report" / "lambda_sweep.csv").read_text().splitlines()
-    assert lines[0] == "lambda,ef100_before,ef100_after,sd100_before,sd100_after"
+    assert lines[0] == "lambda,ef10_before,ef10_after,sd10_before,sd10_after"
     grid = [line.split(",")[0] for line in lines[1:]]
     assert grid == [f"{lam:g}" for lam in mini_config.lambda_grid]
 
@@ -822,6 +797,51 @@ def test_rebuilding_the_report_changes_nothing(mini_run, tmp_path):
         warnings.simplefilter("ignore")
         rebuild_report(copy)
     assert _tree(copy) == _tree(mini_run)
+
+
+def test_a_rebuild_walks_cells_in_numeric_order(mini_config, tmp_path):
+    # Eleven seeds put seed10 between seed1 and seed2 in name order.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        run_dir = run_experiment(dataclasses.replace(mini_config, eval_seeds=11), tmp_path / "run")
+        before = _tree(run_dir)
+        rebuild_report(run_dir)
+    assert _tree(run_dir) == before
+
+
+def test_a_rebuild_averages_the_sweeps_the_run_averaged(mini_config, tmp_path, monkeypatch):
+    """Two sweeps whose mean rounds one way unrounded and the other way from rerank.csv."""
+    figures = iter([0.1234564, 0.1234568])
+
+    def rerank_step(path, ranked, mols_by_id, config):
+        value = next(figures, None)
+        grid = config.lambda_grid if value is not None else ()
+        sweep = [LambdaReport(lam, value, value, value, value) for lam in grid]
+        write_sweep_csv(path, sweep, config.top_k)
+        return (sweep, None) if sweep else (None, "rerank skipped")
+
+    monkeypatch.setattr(runner, "rerank_cell", rerank_step)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        run_dir = run_experiment(mini_config, tmp_path / "run")
+        manifest = (run_dir / "manifest.json").read_bytes()
+        # The mean of the written 0.123456 and 0.123457, not of the unrounded pair.
+        assert (run_dir / "report" / "lambda_sweep.csv").read_text().splitlines()[1:] == [
+            f"{lam:g},0.123456,0.123456,0.123456,0.123456" for lam in mini_config.lambda_grid
+        ]
+        rebuild_report(run_dir)
+    assert (run_dir / "manifest.json").read_bytes() == manifest
+
+
+def test_a_rebuild_rejects_a_sweep_headed_for_another_depth(mini_run, tmp_path):
+    copy = tmp_path / "copy"
+    shutil.copytree(mini_run, copy)
+    rerank = copy / "splits" / "split2" / "seed0" / "rerank.csv"
+    rerank.write_text(rerank.read_text().replace("ef10_", "ef100_"), encoding="utf-8")
+    with pytest.raises(ValueError, match=r"split2/seed0/rerank\.csv: unexpected sweep header"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            rebuild_report(copy)
 
 
 GOLDEN_FILES = Path(__file__).parent / "data" / "mini_run_files.json"
@@ -1170,6 +1190,6 @@ def test_cli_rerank_matches_the_runner_on_a_cell_without_actives(tmp_path, capsy
     assert sweep is None
     assert note == "enrichment needs at least one active in the baseline, rerank skipped"
     assert note in err
-    write_sweep_csv(tmp_path / "empty.csv", [])
+    write_sweep_csv(tmp_path / "empty.csv", [], k=5)
     assert out.read_bytes() == runner_csv.read_bytes()
     assert out.read_bytes() == (tmp_path / "empty.csv").read_bytes()
