@@ -189,7 +189,7 @@ def silhouette(points: np.ndarray, assignments: np.ndarray) -> float:
     m = len(points)
     if m < 2:
         raise ValueError("silhouette needs at least two points")
-    labels = np.unique(assignments)
+    labels, cluster_of = np.unique(assignments, return_inverse=True)
     if len(labels) < 2:
         raise ValueError("silhouette needs at least two clusters")
     norms = np.einsum("ij,ij->i", points, points)
@@ -200,16 +200,16 @@ def silhouette(points: np.ndarray, assignments: np.ndarray) -> float:
     np.maximum(dists, 0.0, out=dists)
     np.fill_diagonal(dists, 0.0)
     np.sqrt(dists, out=dists)
+    masks = cluster_of == np.arange(len(labels))[:, None]
+    sizes = masks.sum(axis=1).tolist()
     scores = np.zeros(m)
     for i in range(m):
-        own = assignments[i]
-        mask_own = assignments == own
-        size_own = int(mask_own.sum())
-        if size_own == 1:
+        own = cluster_of[i]
+        if sizes[own] == 1:
             scores[i] = 0.0
             continue
-        a = dists[i, mask_own].sum() / (size_own - 1)
-        b = min(dists[i, assignments == other].mean() for other in labels if other != own)
+        a = dists[i, masks[own]].sum() / (sizes[own] - 1)
+        b = min(dists[i, mask].mean() for c, mask in enumerate(masks) if c != own)
         denom = max(a, b)
         scores[i] = 0.0 if denom == 0.0 else (b - a) / denom
     return float(scores.mean())

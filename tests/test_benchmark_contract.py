@@ -8,6 +8,10 @@ benchmark run. The module is loaded from its path and never installed.
 
 ``screenbench/checks.py`` recomputes the report's lambda sweep from the
 cells' rerank.csv files; the mini run's report must equal that oracle.
+
+The trace's ``selftrain.sgd_rows`` sums ``len(labels)`` over the calls of
+``selftrain.loss_and_grad``, so that count holds only while ``self_train``
+makes one call per minibatch, as checked here.
 """
 
 from __future__ import annotations
@@ -17,6 +21,12 @@ import importlib.util
 import inspect
 import sys
 from pathlib import Path
+
+import numpy as np
+
+from scaffscreen import selftrain
+from scaffscreen.chem import parse_smiles
+from scaffscreen.pipeline.synthetic import make_benchmark_deck
 
 SCREENBENCH = Path(__file__).resolve().parents[1] / "screenbench"
 LAYERTRACE = SCREENBENCH / "layertrace.py"
@@ -78,3 +88,44 @@ def test_the_report_sweep_is_the_benchmark_oracle(mini_run, monkeypatch):
     checks = _load("screenbench_checks", SCREENBENCH / "checks.py")
     expected = checks.expected_sweep(mini_run, checks.Evaluation.read(mini_run / "config.ini"))
     assert (mini_run / "report" / "lambda_sweep.csv").read_text(encoding="utf-8") == expected
+
+
+def test_sgd_rows_count_one_loss_call_per_minibatch(monkeypatch):
+    deck = make_benchmark_deck(seed=5, n_molecules=150)
+    mols = [parse_smiles(smiles) for smiles in deck.smiles]
+    labels = np.array(deck.labels, dtype=np.int64)
+
+    def labeled(rows):
+        return selftrain.LabeledSet(
+            ids=tuple(deck.ids[i] for i in rows),
+            molecules=tuple(mols[i] for i in rows),
+            labels=labels[list(rows)],
+        )
+
+    train, validation = labeled(range(100)), labeled(range(100, 150))
+    pool = tuple(mols[i] for i in np.flatnonzero(labels == 1))
+    config = selftrain.SelfTrainConfig(
+        epochs=8, warmup_epochs=2, refresh_period=1, confidence_threshold=0.5,
+        nbits=256, batch_size=16, seed=3,
+    )
+    calls = []
+    original = selftrain.loss_and_grad
+
+    def counting(weights, bias, features, labels, l2_penalty):
+        calls.append(len(labels))
+        return original(weights, bias, features, labels, l2_penalty)
+
+    monkeypatch.setattr(selftrain, "loss_and_grad", counting)
+    _, history = selftrain.self_train(
+        train, [f"g{i}" for i in range(len(pool))], pool, validation, config
+    )
+
+    expected = []
+    n_actives = int(train.labels.sum())
+    for record in history:
+        actives = n_actives + record.n_pseudo
+        inactives = train.size - n_actives
+        rows = 2 * max(actives, inactives)  # the minority class is oversampled to 1:1
+        expected += [min(config.batch_size, rows - start) for start in range(0, rows, 16)]
+    assert sum(record.n_pseudo for record in history) > 0
+    assert calls == expected

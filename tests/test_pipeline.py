@@ -186,6 +186,16 @@ def test_missing_config_file_is_an_error(tmp_path):
         ({"confidence_threshold": 0.0}, "confidence threshold"),
         ({"epochs": 0}, "epochs must be positive"),
         ({"refresh_period": 0}, "refresh_period"),
+        ({"learning_rate": -1.0}, "learning_rate"),
+        ({"learning_rate": 0.0}, "learning_rate"),
+        ({"learning_rate": float("nan")}, "learning_rate"),
+        ({"learning_rate": float("inf")}, "learning_rate"),
+        ({"l2_penalty": -1e-4}, "l2_penalty"),
+        ({"l2_penalty": float("nan")}, "l2_penalty"),
+        ({"l2_penalty": float("inf")}, "l2_penalty"),
+        ({"lr_decay_power": -0.5}, "lr_decay_power"),
+        ({"lr_decay_power": float("nan")}, "lr_decay_power"),
+        ({"lr_decay_power": float("inf")}, "lr_decay_power"),
     ],
 )
 def test_semantic_validation_of_fields(kwargs, match):

@@ -153,6 +153,18 @@ def test_k_selection_runs_in_bounded_memory_and_picks_the_same_k(monkeypatch):
     assert np.array_equal(model.assignments, reference.assignments)
 
 
+def test_silhouette_equals_the_row_by_row_form_exactly():
+    # Singletons, empty label gaps and ties between clusters included.
+    rng = np.random.default_rng(23)
+    for n in range(40):
+        m = int(rng.integers(3, 60))
+        points = (rng.random((m, 64)) < 0.1).astype(np.float64)
+        assignments = rng.integers(0, int(rng.integers(2, 8)), size=m) * 3
+        if len(np.unique(assignments)) < 2:
+            continue
+        assert silhouette(points, assignments) == _row_by_row_silhouette(points, assignments)
+
+
 def _fingerprints(rows: np.ndarray) -> list[Fingerprint]:
     packed = np.packbits(rows, axis=1, bitorder="little")
     return [

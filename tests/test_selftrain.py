@@ -5,16 +5,19 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from scaffscreen import selftrain
 from scaffscreen.chem import parse_smiles
 from scaffscreen.metrics import RankedList, bedroc
-from scaffscreen.pipeline.synthetic import make_benchmark_deck
 from scaffscreen.selftrain import (
     CHECKPOINT_VERSION,
     DegenerateData,
     FingerprintClassifier,
     LabeledSet,
     SelfTrainConfig,
+    SparseBatch,
     load_checkpoint,
     loss_and_grad,
     predict,
@@ -24,6 +27,8 @@ from scaffscreen.selftrain import (
     write_history_csv,
     _validation_bedroc,
 )
+
+from helpers.reference_selftrain import dense_epoch, dense_rows
 
 ACTIVE_SMILES = [
     "c1ccccc1",
@@ -95,6 +100,37 @@ def test_zero_model_loss_is_log_two():
     labels = np.array([1, 0])
     loss, _, _ = loss_and_grad(np.zeros(2), 0.0, features, labels, 0.0)
     assert loss == pytest.approx(math.log(2.0), rel=1e-12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    width=st.integers(8, 1024),
+    n_rows=st.integers(1, 64),
+    density=st.floats(0.0, 0.3),
+    full_column=st.booleans(),
+    zero_row=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(width=8, n_rows=1, density=0.5, full_column=True, zero_row=False, seed=0)
+@example(width=1024, n_rows=1, density=0.0, full_column=False, zero_row=True, seed=1)
+@example(width=1024, n_rows=128, density=0.02, full_column=True, zero_row=True, seed=2)
+def test_sparse_and_dense_loss_and_grad_agree(
+    width, n_rows, density, full_column, zero_row, seed
+):
+    rng = np.random.default_rng(seed)
+    rows = (rng.random((n_rows, width)) < density).astype(np.uint8)
+    if full_column:
+        rows[:, rng.integers(width)] = 1
+    if zero_row:  # wins over the full column in its own row
+        rows[rng.integers(n_rows)] = 0
+    labels = rng.integers(2, size=n_rows).astype(np.int64)
+    weights = rng.normal(size=width)
+    bias = float(rng.normal())
+    sparse = loss_and_grad(weights, bias, SparseBatch(*np.nonzero(rows)), labels, 0.01)
+    dense = loss_and_grad(weights, bias, rows.astype(np.float64), labels, 0.01)
+    assert sparse[0] == pytest.approx(dense[0], rel=1e-12, abs=1e-12)
+    np.testing.assert_allclose(sparse[1], dense[1], rtol=1e-12, atol=1e-12)
+    assert sparse[2] == pytest.approx(dense[2], rel=1e-12, abs=1e-12)
 
 
 # --- basic training -----------------------------------------------------
@@ -286,38 +322,98 @@ def test_validation_ranking_ties_like_ranked_list(logits):
     assert _validation_bedroc(validation, logits) == bedroc(by_records)
 
 
-def test_pseudo_labeled_self_training_stays_within_a_memory_bound():
-    # 1 200 training rows at 1 024 bits are 9.8 MB as float64; building the
-    # rows as float64, or copying them for each pseudo-labeled epoch, goes
-    # well past the bound.
-    deck = make_benchmark_deck()
-    mols = [parse_smiles(s) for s in deck.smiles]
-    labels = np.array(deck.labels, dtype=np.int64)
+@pytest.fixture(scope="module")
+def deck_cell(benchmark_deck):
+    """Deck records 0-1199 to train, 1200-1599 to validate, and the 20 actives as a pool."""
+    mols = [parse_smiles(s) for s in benchmark_deck.smiles]
+    labels = np.array(benchmark_deck.labels, dtype=np.int64)
 
     def labeled(rows):
         return LabeledSet(
-            ids=tuple(deck.ids[i] for i in rows),
+            ids=tuple(benchmark_deck.ids[i] for i in rows),
             molecules=tuple(mols[i] for i in rows),
             labels=labels[list(rows)],
         )
 
-    train, validation = labeled(range(1200)), labeled(range(1200, 1600))
-    active = np.flatnonzero(labels == 1)
-    pool = tuple(mols[i] for i in active)
+    pool = tuple(mols[i] for i in np.flatnonzero(labels == 1))
     pool_ids = tuple(f"g{i}" for i in range(len(pool)))
+    return labeled(range(1200)), pool_ids, pool, labeled(range(1200, 1600))
+
+
+DECK_CELL_CONFIG = SelfTrainConfig(
+    epochs=30, warmup_epochs=5, refresh_period=1, confidence_threshold=0.5,
+    nbits=1024, seed=1,
+)
+
+
+def test_pseudo_labeled_self_training_stays_within_a_memory_bound(deck_cell):
+    # 1 200 training rows at 1 024 bits are 9.8 MB as float64; building the
+    # rows as float64, or copying them for each pseudo-labeled epoch, goes
+    # well past the bound.
+    train, pool_ids, pool, validation = deck_cell
     assert len(pool) == 20
-    config = SelfTrainConfig(
-        epochs=30, warmup_epochs=5, refresh_period=1, confidence_threshold=0.5,
-        nbits=1024, seed=1,
-    )
     tracemalloc.start()
     try:
-        _, history = self_train(train, pool_ids, pool, validation, config)
+        _, history = self_train(train, pool_ids, pool, validation, DECK_CELL_CONFIG)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert sum(record.n_pseudo for record in history) > 0
     assert peak < 16 * 2**20, peak
+
+
+def test_sparse_epoch_matches_the_dense_reference_epoch(deck_cell, monkeypatch):
+    train = deck_cell[0]
+    rows = FingerprintClassifier(nbits=1024).featurize(train.molecules)
+    indptr, cols = selftrain._on_bits(rows)
+    assert np.array_equal(dense_rows(indptr, cols, 1024), rows)
+
+    batches = []
+    original = selftrain.loss_and_grad
+
+    def recording(weights, bias, features, labels, l2_penalty):
+        if isinstance(features, SparseBatch):
+            dense = np.zeros((len(labels), len(weights)))
+            dense[features.row, features.cols] = 1.0
+        else:
+            dense = features.copy()
+        batches.append((dense, labels.copy()))
+        return original(weights, bias, features, labels, l2_penalty)
+
+    monkeypatch.setattr(selftrain, "loss_and_grad", recording)
+    start = np.random.default_rng(3).normal(scale=0.05, size=1024)
+    results = []
+    for epoch in (selftrain._run_epoch_on_features, dense_epoch):
+        model = FingerprintClassifier(nbits=1024, weights=start.copy(), bias=0.25)
+        rng = np.random.default_rng(7)
+        loss = epoch(model, indptr, cols, np.arange(train.size), train.labels, 0.1, 1e-4, 128, rng)
+        results.append((model, loss, rng.bit_generator.state))
+    (sparse, sparse_loss, sparse_state), (dense, dense_loss, dense_state) = results
+    # Both epochs drew the same oversampling and shuffle, so they saw the same batches.
+    assert sparse_state == dense_state
+    half = len(batches) // 2
+    assert half == -(-2 * int((train.labels == 0).sum()) // 128)
+    for (a_rows, a_labels), (b_rows, b_labels) in zip(batches[:half], batches[half:]):
+        assert np.array_equal(a_rows, b_rows)
+        assert np.array_equal(a_labels, b_labels)
+    assert np.abs(sparse.weights - dense.weights).max() <= 1e-12
+    assert sparse.bias == pytest.approx(dense.bias, rel=0, abs=1e-12)
+    assert sparse_loss == pytest.approx(dense_loss, rel=0, abs=1e-12)
+
+
+def test_self_training_stays_within_rounding_of_the_dense_path(deck_cell, monkeypatch):
+    train, pool_ids, pool, validation = deck_cell
+    sparse, sparse_history = self_train(train, pool_ids, pool, validation, DECK_CELL_CONFIG)
+    monkeypatch.setattr(selftrain, "_run_epoch_on_features", dense_epoch)
+    dense, dense_history = self_train(train, pool_ids, pool, validation, DECK_CELL_CONFIG)
+    assert np.abs(sparse.weights - dense.weights).max() <= 1e-12
+    assert sparse.bias == pytest.approx(dense.bias, rel=0, abs=1e-12)
+    assert [r.n_pseudo for r in sparse_history] == [r.n_pseudo for r in dense_history]
+    assert sum(r.n_pseudo for r in sparse_history) > 0
+    for ours, theirs in zip(sparse_history, dense_history):
+        assert ours.loss == pytest.approx(theirs.loss, rel=0, abs=1e-12)
+    best = [int(np.argmax([r.val_bedroc for r in h])) for h in (sparse_history, dense_history)]
+    assert best[0] == best[1]
 
 
 def test_learning_rate_decay_endpoints():
@@ -339,6 +435,15 @@ def test_config_validation():
         SelfTrainConfig(confidence_threshold=0.0)
     with pytest.raises(ValueError):
         SelfTrainConfig(confidence_threshold=1.5)
+    for bad in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="learning_rate"):
+            SelfTrainConfig(learning_rate=bad)
+    for bad in (-1e-4, math.nan, math.inf):
+        with pytest.raises(ValueError, match="l2_penalty"):
+            SelfTrainConfig(l2_penalty=bad)
+        with pytest.raises(ValueError, match="lr_decay_power"):
+            SelfTrainConfig(lr_decay_power=bad)
+    SelfTrainConfig(l2_penalty=0.0, lr_decay_power=0.0)
 
 
 # --- labeled sets -------------------------------------------------------
