@@ -54,6 +54,7 @@ __all__ = [
     "DegenerateLabels",
     "RankedList",
     "bedroc",
+    "bedroc_of_order",
     "check_fpr_window",
     "dcg_k",
     "ef_k",
@@ -141,13 +142,18 @@ def log_auc(
 
 def bedroc(ranked: RankedList, alpha: float = 20.0) -> float:
     """BEDROC in [0, 1]; 1.0 when all actives lead, 0.0 when they trail."""
+    return bedroc_of_order(ranked.labels, alpha)
+
+
+def bedroc_of_order(labels: np.ndarray, alpha: float = 20.0) -> float:
+    """BEDROC of 0/1 ``labels`` given in rank order, best first."""
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    n = ranked.n_actives
-    total = ranked.n_records
+    n = int(labels.sum())
+    total = len(labels)
     if n == 0 or n == total:
         raise DegenerateLabels("bedroc needs both actives and inactives")
-    ranks = np.flatnonzero(ranked.labels == 1) + 1
+    ranks = np.flatnonzero(labels == 1) + 1
     ratio = n / total
     observed = np.exp(-alpha * ranks / total).sum() / n
     expected = (1.0 - math.exp(-alpha)) / (total * (math.exp(alpha / total) - 1.0))

@@ -26,7 +26,7 @@ from .runner import (
     rebuild_report,
     rerank_cell,
     run_experiment,
-    train_cell,
+    train_cells,
     write_augmentation,
     write_scores_csv,
 )
@@ -120,8 +120,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     if args.generated:
         pool_ids, pool = read_generated_pool(Path(args.generated))
     seed = derive_seed(config.seed, "train", args.split_index, args.eval_index)
-    _, history = train_cell(
-        Path(args.out), folds["train"], folds["valid"], pool_ids, pool, config, seed
+    ((_, history),) = train_cells(
+        [Path(args.out)], folds["train"], folds["valid"], pool_ids, pool, config, [seed]
     )
     best = max(history, key=lambda h: h.val_bedroc)
     print(f"trained {len(history)} epochs, best validation bedroc {best.val_bedroc:.4f}")

@@ -86,7 +86,7 @@ from ..selftrain import (
     LabeledSet,
     predict,
     save_checkpoint,
-    self_train,
+    self_train_cells,
     write_history_csv,
 )
 from .config import RunConfig, dump_config, load_config
@@ -103,7 +103,7 @@ __all__ = [
     "rebuild_report",
     "rerank_cell",
     "run_experiment",
-    "train_cell",
+    "train_cells",
     "write_augmentation",
     "write_scores_csv",
 ]
@@ -305,27 +305,32 @@ def _labeled_set(records: Sequence[AssayRecord]) -> LabeledSet:
     )
 
 
-def train_cell(
-    out_dir: Path,
+def train_cells(
+    cell_dirs: Sequence[Path],
     train_records: Sequence[AssayRecord],
     valid_records: Sequence[AssayRecord],
     pool_ids: Sequence[str],
     pool: Sequence[MolGraph],
     config: RunConfig,
-    seed: int,
-) -> tuple[FingerprintClassifier, list[EpochRecord]]:
-    """Self-train one cell under ``config`` and write model.json and history.csv."""
-    model, history = self_train(
+    seeds: Sequence[int],
+) -> list[tuple[FingerprintClassifier, list[EpochRecord]]]:
+    """Self-train one cell of a split per seed, in lockstep, under ``config``.
+
+    Writes cell j's model.json and history.csv into ``cell_dirs[j]``. Each
+    cell's bytes are those it gets when trained alone.
+    """
+    cells = self_train_cells(
         _labeled_set(train_records),
         pool_ids,
         pool,
         _labeled_set(valid_records),
-        config.train_config(seed),
+        [config.train_config(seed) for seed in seeds],
     )
-    out_dir.mkdir(parents=True, exist_ok=True)
-    save_checkpoint(out_dir / "model.json", model)
-    write_history_csv(out_dir / "history.csv", history)
-    return model, history
+    for out_dir, (model, history) in zip(cell_dirs, cells):
+        out_dir.mkdir(parents=True, exist_ok=True)
+        save_checkpoint(out_dir / "model.json", model)
+        write_history_csv(out_dir / "history.csv", history)
+    return cells
 
 
 def _write_generated_csv(path: Path, entries: Sequence[GeneratedEntry]) -> None:
@@ -581,15 +586,13 @@ def run_experiment(config: RunConfig, run_dir: str | Path | None = None) -> Path
             pool_ids, pool = products.pool_ids, products.pool
             report.add_split(i, pool_ids, pool, products.note)
 
-        train_seeds[str(i)] = []
-        for j in range(config.eval_seeds):
-            cell_dir = split_dir / f"seed{j}"
-            cell_seed = derive_seed(config.seed, "train", i, j)
-            train_seeds[str(i)].append(cell_seed)
-            model, _ = train_cell(
-                cell_dir, train_records, valid_records, pool_ids, pool, config, cell_seed
-            )
-
+        cell_seeds = [derive_seed(config.seed, "train", i, j) for j in range(config.eval_seeds)]
+        train_seeds[str(i)] = cell_seeds
+        cell_dirs = [split_dir / f"seed{j}" for j in range(config.eval_seeds)]
+        cells = train_cells(
+            cell_dirs, train_records, valid_records, pool_ids, pool, config, cell_seeds
+        )
+        for j, (cell_dir, (model, _)) in enumerate(zip(cell_dirs, cells)):
             test_scores = predict(model, [r.mol for r in test_records])
             rows = [
                 (r.record_id, r.smiles, float(s), r.label)

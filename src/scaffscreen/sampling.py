@@ -183,6 +183,8 @@ def silhouette(points: np.ndarray, assignments: np.ndarray) -> float:
     Squared distances come from the Gram identity ``|p_i|^2 + |p_j|^2 -
     2 p_i . p_j``. On 0/1 points each term is a bit count, exact in float64
     in any summation order, so they equal the (m, m, d) broadcast form.
+    Each point's distance sum to a cluster is a row sum of that cluster's
+    C-ordered column block, which adds like the point's own row alone.
     """
     points = np.asarray(points, dtype=np.float64)
     assignments = np.asarray(assignments)
@@ -201,17 +203,19 @@ def silhouette(points: np.ndarray, assignments: np.ndarray) -> float:
     np.fill_diagonal(dists, 0.0)
     np.sqrt(dists, out=dists)
     masks = cluster_of == np.arange(len(labels))[:, None]
-    sizes = masks.sum(axis=1).tolist()
-    scores = np.zeros(m)
-    for i in range(m):
-        own = cluster_of[i]
-        if sizes[own] == 1:
-            scores[i] = 0.0
-            continue
-        a = dists[i, masks[own]].sum() / (sizes[own] - 1)
-        b = min(dists[i, mask].mean() for c, mask in enumerate(masks) if c != own)
-        denom = max(a, b)
-        scores[i] = 0.0 if denom == 0.0 else (b - a) / denom
+    sizes = masks.sum(axis=1)
+    # sums[c, i]: point i's distance sum to the members of cluster c.
+    sums = np.stack([dists.compress(mask, axis=1).sum(axis=1) for mask in masks])
+    means = sums / sizes[:, None]
+    rows = np.arange(m)
+    own_size = sizes[cluster_of]
+    singleton = own_size == 1
+    a = sums[cluster_of, rows] / np.where(singleton, 1, own_size - 1)
+    means[cluster_of, rows] = np.inf
+    b = means.min(axis=0)
+    denom = np.maximum(a, b)
+    zero = singleton | (denom == 0.0)
+    scores = np.where(zero, 0.0, (b - a) / np.where(zero, 1.0, denom))
     return float(scores.mean())
 
 

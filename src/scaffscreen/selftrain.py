@@ -9,11 +9,21 @@ differences.
 Training reads each row as its on-bit columns (a fingerprint sets a few
 dozen of its bits), so a minibatch is a :class:`SparseBatch` and its logit
 and gradient sums are ``np.bincount`` calls, which add in their fixed input
-order: per row in ascending column, per column in batch order. They no
-longer run in the OpenBLAS ``dgemv`` kernel picked for the CPU at run time.
+order: per row in ascending column, per column in batch order. They do not
+run in the OpenBLAS ``dgemv`` kernel picked for the CPU at run time.
 Scoring (:func:`predict`, the validation logits and the pool rescore) stays
-a dense BLAS product, as do the L2 term of the reported loss and the
-diffusion posterior.
+a dense BLAS product per cell, as do the L2 term of the reported loss and
+the diffusion posterior. Sparse validation logits add in another order,
+which reordered near-ties low in a validation ranking and moved a
+``history.csv`` BEDROC in its tenth digit.
+
+The cells of one split (its evaluation seeds) train in lockstep
+(:func:`self_train_cells`): they share the labeled rows, pool and
+validation fold, and differ only in their seeds. Each cell still makes its
+own draws, pool rescore and pseudo-label choice, but one
+:func:`loss_and_grad` call takes a step for every cell whose epoch has as
+many rows as its own. A cell's sums add in the same order as when it
+trains alone, so its model and history are the same bit for bit.
 
 Self-training proceeds in epochs. For the first ``warmup_epochs`` only the
 labeled set is used. Afterwards, on every epoch divisible by
@@ -31,8 +41,8 @@ reproduce the history and weights bit for bit.
 
 from __future__ import annotations
 
-import copy
 import csv
+import dataclasses
 import json
 import math
 from dataclasses import dataclass, field
@@ -42,7 +52,7 @@ import numpy as np
 
 from .chem.graph import MolGraph
 from .fingerprints import DEFAULT_NBITS, DEFAULT_RADIUS, ecfp, fingerprint_matrix
-from .metrics import RankedList, bedroc
+from .metrics import bedroc_of_order
 
 __all__ = [
     "CHECKPOINT_VERSION",
@@ -58,6 +68,7 @@ __all__ = [
     "pseudo_label",
     "save_checkpoint",
     "self_train",
+    "self_train_cells",
     "write_history_csv",
 ]
 
@@ -138,40 +149,42 @@ class SparseBatch(NamedTuple):
 
 def loss_and_grad(
     weights: np.ndarray,
-    bias: float,
-    features: np.ndarray | SparseBatch,
+    biases: np.ndarray,
+    batch: SparseBatch,
     labels: np.ndarray,
     l2_penalty: float,
-) -> tuple[float, np.ndarray, float]:
-    """Mean binary cross entropy plus L2 on the weights, with its gradient.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each cell's mean binary cross entropy plus L2 on its weights, with gradients.
 
-    ``features`` is a dense 2-D array or a :class:`SparseBatch` of
-    ``len(labels)`` rows. Returns ``(loss, grad_weights, grad_bias)``. The
-    penalty term is 0.5 * l2 * ||w||^2; the bias is not penalized.
+    ``weights`` holds one row per cell, shape ``(C, nbits)``, and ``biases``
+    one entry, shape ``(C,)``. ``batch`` holds ``len(labels)`` rows, ``n =
+    len(labels) // C`` per cell and cell by cell: cell c owns rows ``c * n``
+    to ``c * n + n - 1`` and columns offset by ``c * nbits``. Returns the
+    ``(C,)`` losses, the ``(C, nbits)`` weight gradients and the ``(C,)``
+    bias gradients. The penalty term is 0.5 * l2 * ||w||^2; the bias is not
+    penalized.
+
+    A cell's sums add as if it were alone: ``np.bincount`` adds each bin in
+    input order, a row of a C-ordered ``(C, n)`` array sums like that row
+    alone, and each cell's L2 term is its own dot product.
     """
-    n = len(labels)
-    sparse = isinstance(features, SparseBatch)
-    if sparse:
-        z = np.bincount(features.row, weights=weights[features.cols], minlength=n)
-        z = z + bias  # not in place: with no entries, bincount returns integer zeros
-    else:
-        z = features @ weights + bias
+    n_cells, nbits = weights.shape
+    n = len(labels) // n_cells
+    z = np.bincount(batch.row, weights=weights.ravel()[batch.cols], minlength=len(labels))
+    # Not in place: with no entries, bincount returns integer zeros.
+    z = z.reshape(n_cells, n) + biases[:, None]
+    labels = labels.reshape(n_cells, n)
     # log(1 + exp(z)) - y 'z, computed stably via softplus. Means are taken
-    # as sum / n, the value ndarray.mean gives, without its Python overhead.
+    # as sum / n, the value ndarray.mean gives.
     softplus = np.logaddexp(0.0, z)
-    data_loss = float((softplus - labels * z).sum()) / n
-    loss = data_loss + 0.5 * l2_penalty * float(weights @ weights)
+    data_loss = (softplus - labels * z).sum(axis=1) / n
+    losses = data_loss + 0.5 * l2_penalty * np.array([w @ w for w in weights])
     residual = _sigmoid(z) - labels
-    if sparse:
-        grad_w = np.bincount(
-            features.cols, weights=residual[features.row], minlength=len(weights)
-        )
-    else:
-        grad_w = features.T @ residual
-    grad_w = grad_w / n
+    grad_w = np.bincount(batch.cols, weights=residual.ravel()[batch.row], minlength=weights.size)
+    grad_w = grad_w.reshape(n_cells, nbits) / n
     grad_w += l2_penalty * weights
-    grad_b = float(residual.sum()) / n
-    return loss, grad_w, grad_b
+    grad_b = residual.sum(axis=1) / n
+    return losses, grad_w, grad_b
 
 
 def _on_bits(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -197,53 +210,61 @@ def _oversample_to_balance(
     return np.concatenate([np.arange(len(labels)), extra])
 
 
-def _run_epoch_on_features(
-    model: FingerprintClassifier,
+def _run_epoch(
+    weights: np.ndarray,
+    biases: np.ndarray,
     indptr: np.ndarray,
     cols: np.ndarray,
-    row_index: np.ndarray,
+    orders: np.ndarray,
     labels: np.ndarray,
     learning_rate: float,
     l2_penalty: float,
     batch_size: int,
-    rng: np.random.Generator,
-) -> float:
-    """One epoch over the rows ``row_index`` picks from the CSR rows, labeled ``labels``.
+) -> np.ndarray:
+    """One epoch of G cells in lockstep; returns each cell's mean step loss.
 
-    Each row's on bits are located once per epoch, in shuffled order; a
-    minibatch then gathers its entries with a few array calls, numbering its
-    rows from 0. Per-minibatch gathers keep every buffer small: laying out
-    the whole epoch's entries at once made a fresh half-megabyte array per
-    epoch, whose page faults cost more than the calls saved. The weights are
-    updated in place.
+    Cell g trains on the CSR rows ``orders[g]``, labeled ``labels[g]``, in
+    that order; both are ``(G, L)``, so every cell's epoch has L rows.
+    ``cols`` holds the CSR columns once per cell: copy g starts at entry ``g
+    * indptr[-1]`` and is offset by ``g * nbits``. A step takes the next
+    ``batch_size`` rows of every cell, cell by cell, so it is each cell's
+    own minibatch. Each row's on bits are located once per epoch, in step
+    order; a step then gathers its entries with a few array calls. Per-step
+    gathers keep every buffer small: laying out the whole epoch's entries
+    at once made a fresh half-megabyte array per epoch, whose page faults
+    cost more than the calls saved. ``weights`` (G, nbits) and ``biases``
+    (G,) are updated in place.
     """
-    indices = _oversample_to_balance(labels, rng)
-    rng.shuffle(indices)
-    order = row_index[indices]
-    starts = indptr[order]
-    lengths = indptr[order + 1] - starts
+    n_cells, length = orders.shape
+    step = np.arange(length) // batch_size
+    # Row j of cell g goes to step j // batch_size, cells in order within a step.
+    seq = np.argsort((step * n_cells + np.arange(n_cells)[:, None]).ravel(), kind="stable")
+    order = orders.ravel()[seq]
+    first = indptr[order]
+    lengths = indptr[order + 1] - first
     entry_ptr = np.zeros(len(order) + 1, dtype=np.intp)
     np.cumsum(lengths, out=entry_ptr[1:])
     # Entry e of the epoch, in row k, is cols[shift[k] + e].
-    shift = starts - entry_ptr[:-1]
-    batch_rows = np.arange(batch_size)
-    epoch_labels = labels[indices]
-    batch_starts = range(0, len(order), batch_size)
+    shift = first + (seq // length) * indptr[-1] - entry_ptr[:-1]
+    epoch_labels = labels.ravel()[seq]
+    step_rows = n_cells * batch_size
+    batch_rows = np.arange(step_rows)
+    batch_starts = range(0, len(order), step_rows)
     bounds = entry_ptr[[*batch_starts, len(order)]].tolist()
-    losses = []
-    for start, lo, hi in zip(batch_starts, bounds, bounds[1:]):
-        stop = start + batch_size
+    # One row of step losses per cell, so a cell's mean adds like its own list.
+    losses = np.empty((n_cells, len(batch_starts)))
+    for k, (start, lo, hi) in enumerate(zip(batch_starts, bounds, bounds[1:])):
+        stop = start + step_rows
         counts = lengths[start:stop]
         gather = np.repeat(shift[start:stop], counts)
         gather += np.arange(lo, hi)
         batch = SparseBatch(np.repeat(batch_rows[: len(counts)], counts), cols[gather])
-        loss, grad_w, grad_b = loss_and_grad(
-            model.weights, model.bias, batch, epoch_labels[start:stop], l2_penalty
+        losses[:, k], grad_w, grad_b = loss_and_grad(
+            weights, biases, batch, epoch_labels[start:stop], l2_penalty
         )
-        model.weights -= learning_rate * grad_w
-        model.bias -= learning_rate * grad_b
-        losses.append(loss)
-    return float(np.mean(losses))
+        weights -= learning_rate * grad_w
+        biases -= learning_rate * grad_b
+    return losses.mean(axis=1)
 
 
 def predict(model: FingerprintClassifier, mols: Sequence[MolGraph]) -> np.ndarray:
@@ -276,19 +297,14 @@ def pseudo_label(
     )
 
 
-def _validation_bedroc(validation: LabeledSet, logits: np.ndarray) -> float:
-    """BEDROC of ``validation`` ranked by ``logits``.
+def _validation_bedrocs(labels: np.ndarray, logits: np.ndarray) -> list[float]:
+    """BEDROC of ``labels`` ranked by each row of ``logits``.
 
     Descending logits with ties in input order, as ``RankedList.from_records``
-    ranks them, without building one Python tuple per record.
+    ranks them; BEDROC reads only the label order.
     """
-    order = np.argsort(-logits, kind="stable")
-    ranked = RankedList(
-        ids=tuple(validation.ids[i] for i in order),
-        scores=logits[order],
-        labels=validation.labels[order],
-    )
-    return bedroc(ranked)
+    orders = np.argsort(-logits, axis=1, kind="stable")
+    return [bedroc_of_order(labels[order]) for order in orders]
 
 
 @dataclass(frozen=True)
@@ -340,67 +356,117 @@ def self_train(
     validation: LabeledSet,
     config: SelfTrainConfig,
 ) -> tuple[FingerprintClassifier, list[EpochRecord]]:
-    """Train with periodic confidence-gated pseudo-labeling.
+    """Train one cell with periodic confidence-gated pseudo-labeling.
 
     ``pool`` holds the unlabeled generated molecules; an empty pool reduces
     the procedure to plain supervised training. The returned model is the
-    validation-BEDROC argmax over epochs.
+    validation-BEDROC argmax over epochs. This is :func:`self_train_cells`
+    with one cell.
     """
+    (cell,) = self_train_cells(labeled, pool_ids, pool, validation, [config])
+    return cell
+
+
+def self_train_cells(
+    labeled: LabeledSet,
+    pool_ids: Sequence[str],
+    pool: Sequence[MolGraph],
+    validation: LabeledSet,
+    configs: Sequence[SelfTrainConfig],
+) -> list[tuple[FingerprintClassifier, list[EpochRecord]]]:
+    """Train one cell per config on the same data, in lockstep.
+
+    The configs may differ only in ``seed``. Cell c makes the draws, pool
+    rescores and pseudo-label choices that :func:`self_train` makes under
+    ``configs[c]``, and its model and history are the same bit for bit.
+    Each epoch, the cells whose epochs have the same number of rows take
+    their steps together.
+    """
+    config = configs[0]
+    if any(dataclasses.replace(c, seed=config.seed) != config for c in configs):
+        raise ValueError("cells trained together may differ only in seed")
     if validation.size == 0 or not 0 < validation.labels.sum() < validation.size:
         raise DegenerateData("validation set needs both an active and an inactive")
-    model = FingerprintClassifier(radius=config.radius, nbits=config.nbits)
+    n_cells, nbits = len(configs), config.nbits
+    featurizer = FingerprintClassifier(radius=config.radius, nbits=nbits)
     # Labeled rows first, then pool rows; an epoch picks rows by index.
-    rows = model.featurize([*labeled.molecules, *pool])
+    rows = featurizer.featurize([*labeled.molecules, *pool])
     indptr, cols = _on_bits(rows)
     n_labeled = labeled.size
-    labeled_rows = np.arange(n_labeled)
-    val_features = model.featurize(validation.molecules).astype(np.float64)
+    pool_rows = rows[n_labeled:].astype(np.float64)
+    cols = (cols + nbits * np.arange(n_cells)[:, None]).ravel()
+    val_rows = featurizer.featurize(validation.molecules).astype(np.float64)
 
-    root = np.random.SeedSequence(config.seed)
-    epoch_seeds = root.spawn(config.epochs)
-
-    pseudo_mask = np.zeros(0, dtype=np.int64)
-    history: list[EpochRecord] = []
-    best_score = -np.inf
-    best_model: FingerprintClassifier | None = None
+    weights = np.zeros((n_cells, nbits))
+    biases = np.zeros(n_cells)
+    epoch_seeds = [np.random.SeedSequence(c.seed).spawn(config.epochs) for c in configs]
+    pseudo_rows = [np.zeros(0, dtype=np.int64)] * n_cells
+    histories: list[list[EpochRecord]] = [[] for _ in configs]
+    best_scores = [-np.inf] * n_cells
+    best: list[FingerprintClassifier | None] = [None] * n_cells
 
     for epoch in range(config.epochs):
-        if epoch >= config.warmup_epochs and epoch % config.refresh_period == 0 and len(pool):
-            confidence = _sigmoid(model.logits(rows[n_labeled:]))
-            pseudo_mask = np.flatnonzero(confidence > config.confidence_threshold)
-
-        if len(pseudo_mask):
-            epoch_rows = np.concatenate([labeled_rows, n_labeled + pseudo_mask])
-            epoch_labels = np.concatenate(
-                [labeled.labels, np.ones(len(pseudo_mask), dtype=np.int64)]
+        refresh = (
+            epoch >= config.warmup_epochs and epoch % config.refresh_period == 0 and len(pool)
+        )
+        orders, epoch_labels = [], []
+        for c in range(n_cells):
+            if refresh:
+                confidence = _sigmoid(pool_rows @ weights[c] + biases[c])
+                chosen = np.flatnonzero(confidence > config.confidence_threshold)
+                pseudo_rows[c] = n_labeled + chosen
+            cell_rows = np.concatenate([np.arange(n_labeled), pseudo_rows[c]])
+            cell_labels = np.concatenate(
+                [labeled.labels, np.ones(len(pseudo_rows[c]), dtype=np.int64)]
             )
-        else:
-            epoch_rows = labeled_rows
-            epoch_labels = labeled.labels
+            rng = np.random.default_rng(epoch_seeds[c][epoch])
+            indices = _oversample_to_balance(cell_labels, rng)
+            rng.shuffle(indices)
+            orders.append(cell_rows[indices])
+            epoch_labels.append(cell_labels[indices])
 
-        rng = np.random.default_rng(epoch_seeds[epoch])
-        loss = _run_epoch_on_features(
-            model,
-            indptr,
-            cols,
-            epoch_rows,
-            epoch_labels,
-            config.learning_rate_at(epoch),
-            config.l2_penalty,
-            config.batch_size,
-            rng,
-        )
+        # Cells step together while their epochs have equally many rows.
+        groups: dict[int, list[int]] = {}
+        for c, order in enumerate(orders):
+            groups.setdefault(len(order), []).append(c)
+        losses = np.empty(n_cells)
+        for group in groups.values():
+            w, b = weights[group], biases[group]
+            losses[group] = _run_epoch(
+                w,
+                b,
+                indptr,
+                cols,
+                np.stack([orders[c] for c in group]),
+                np.stack([epoch_labels[c] for c in group]),
+                config.learning_rate_at(epoch),
+                config.l2_penalty,
+                config.batch_size,
+            )
+            weights[group], biases[group] = w, b
 
-        score = _validation_bedroc(validation, model.logits(val_features))
-        history.append(
-            EpochRecord(epoch=epoch, loss=loss, val_bedroc=score, n_pseudo=len(pseudo_mask))
-        )
-        if score > best_score:
-            best_score = score
-            best_model = copy.deepcopy(model)
+        # One product per cell: val_rows @ weights.T would add in dgemm's order.
+        logits = np.stack([val_rows @ w + b for w, b in zip(weights, biases)])
+        scores = _validation_bedrocs(validation.labels, logits)
+        for c, score in enumerate(scores):
+            histories[c].append(
+                EpochRecord(
+                    epoch=epoch,
+                    loss=float(losses[c]),
+                    val_bedroc=score,
+                    n_pseudo=len(pseudo_rows[c]),
+                )
+            )
+            if score > best_scores[c]:
+                best_scores[c] = score
+                best[c] = FingerprintClassifier(
+                    radius=config.radius,
+                    nbits=nbits,
+                    weights=weights[c].copy(),
+                    bias=float(biases[c]),
+                )
 
-    assert best_model is not None
-    return best_model, history
+    return list(zip(best, histories))
 
 
 def write_history_csv(path, history: Sequence[EpochRecord]) -> None:

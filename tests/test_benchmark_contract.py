@@ -10,12 +10,15 @@ benchmark run. The module is loaded from its path and never installed.
 cells' rerank.csv files; the mini run's report must equal that oracle.
 
 The trace's ``selftrain.sgd_rows`` sums ``len(labels)`` over the calls of
-``selftrain.loss_and_grad``, so that count holds only while ``self_train``
-makes one call per minibatch, as checked here.
+``selftrain.loss_and_grad``, so that count holds only while each call's
+labels are the minibatches of the cells it steps, as checked here for one
+cell and for a split's three cells in lockstep. The trace's pseudo-label
+count unpacks ``self_train``'s ``(model, history)``.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import importlib
 import importlib.util
 import inspect
@@ -108,24 +111,32 @@ def test_sgd_rows_count_one_loss_call_per_minibatch(monkeypatch):
         epochs=8, warmup_epochs=2, refresh_period=1, confidence_threshold=0.5,
         nbits=256, batch_size=16, seed=3,
     )
+    pool_ids = [f"g{i}" for i in range(len(pool))]
     calls = []
     original = selftrain.loss_and_grad
 
-    def counting(weights, bias, features, labels, l2_penalty):
+    def counting(weights, biases, batch, labels, l2_penalty):
         calls.append(len(labels))
-        return original(weights, bias, features, labels, l2_penalty)
+        return original(weights, biases, batch, labels, l2_penalty)
+
+    def epoch_rows(record):
+        actives = int(train.labels.sum()) + record.n_pseudo
+        inactives = train.size - int(train.labels.sum())
+        return 2 * max(actives, inactives)  # the minority class is oversampled to 1:1
 
     monkeypatch.setattr(selftrain, "loss_and_grad", counting)
-    _, history = selftrain.self_train(
-        train, [f"g{i}" for i in range(len(pool))], pool, validation, config
-    )
-
+    model, history = selftrain.self_train(train, pool_ids, pool, validation, config)
+    assert isinstance(model, selftrain.FingerprintClassifier)
     expected = []
-    n_actives = int(train.labels.sum())
     for record in history:
-        actives = n_actives + record.n_pseudo
-        inactives = train.size - n_actives
-        rows = 2 * max(actives, inactives)  # the minority class is oversampled to 1:1
+        rows = epoch_rows(record)
         expected += [min(config.batch_size, rows - start) for start in range(0, rows, 16)]
     assert sum(record.n_pseudo for record in history) > 0
     assert calls == expected
+
+    calls.clear()
+    configs = [dataclasses.replace(config, seed=seed) for seed in (3, 4, 5)]
+    cells = selftrain.self_train_cells(train, pool_ids, pool, validation, configs)
+    assert sum(calls) == sum(epoch_rows(r) for _, history in cells for r in history)
+    # The inactives outnumber the actives in every cell, so the cells step together.
+    assert len(calls) == len(expected)

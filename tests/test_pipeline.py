@@ -1203,3 +1203,46 @@ def test_cli_rerank_matches_the_runner_on_a_cell_without_actives(tmp_path, capsy
     write_sweep_csv(tmp_path / "empty.csv", [], k=5)
     assert out.read_bytes() == runner_csv.read_bytes()
     assert out.read_bytes() == (tmp_path / "empty.csv").read_bytes()
+
+
+def test_lockstep_cells_equal_the_cli_train_stage_cell_by_cell(
+    mini_config, mini_assay_csv, cli_ini, tmp_path, capsys
+):
+    # A run trains each split's evaluation seeds together; the CLI trains one cell alone.
+    # A low threshold lets pseudo-labels in, so the cells' epochs can differ in length.
+    config = dataclasses.replace(mini_config, eval_seeds=3, confidence_threshold=0.3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        run_dir = run_experiment(config, tmp_path / "run")
+    ini = tmp_path / "cells.ini"
+    ini.write_text(
+        cli_ini.read_text().replace("[train]\n", "[train]\nconfidence_threshold = 0.3\n"),
+        encoding="utf-8",
+    )
+    base = ["--config", str(ini), "--assay", str(mini_assay_csv)]
+    pseudo_counts = set()
+    for i in range(5):
+        split_dir = run_dir / "splits" / f"split{i}"
+        for j in range(3):
+            cell = tmp_path / f"cell{i}{j}"
+            args = [
+                "train",
+                *base,
+                "--splits",
+                str(run_dir / "splits.json"),
+                "--split-index",
+                str(i),
+                "--eval-index",
+                str(j),
+                "--generated",
+                str(split_dir / "generated.csv"),
+                "--out",
+                str(cell),
+            ]
+            assert main(args) == 0
+            for name in ("model.json", "history.csv"):
+                assert (cell / name).read_bytes() == (split_dir / f"seed{j}" / name).read_bytes()
+            history = (cell / "history.csv").read_text().splitlines()[1:]
+            pseudo_counts.update(int(line.rsplit(",", 1)[1]) for line in history)
+    capsys.readouterr()
+    assert len(pseudo_counts) > 1  # some cells trained on pseudo-labels

@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from scaffscreen.chem import parse_smiles, to_smiles
@@ -163,6 +165,23 @@ def test_silhouette_equals_the_row_by_row_form_exactly():
         if len(np.unique(assignments)) < 2:
             continue
         assert silhouette(points, assignments) == _row_by_row_silhouette(points, assignments)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    m=st.integers(2, 120),
+    width=st.integers(1, 256),
+    density=st.floats(0.0, 0.5),
+    n_labels=st.integers(2, 12),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_silhouette_equals_the_per_point_form_bit_for_bit(m, width, density, n_labels, seed):
+    # Singletons, clusters of equal points and label gaps all occur.
+    rng = np.random.default_rng(seed)
+    points = (rng.random((m, width)) < density).astype(np.float64)
+    assignments = rng.integers(0, n_labels, size=m) * 2
+    assignments[:2] = (0, 2)
+    assert silhouette(points, assignments) == reference.silhouette(points, assignments)
 
 
 def _fingerprints(rows: np.ndarray) -> list[Fingerprint]:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -24,11 +25,17 @@ from scaffscreen.selftrain import (
     pseudo_label,
     save_checkpoint,
     self_train,
+    self_train_cells,
     write_history_csv,
-    _validation_bedroc,
+    _validation_bedrocs,
 )
 
-from helpers.reference_selftrain import dense_epoch, dense_rows
+from helpers.reference_selftrain import (
+    dense_epoch,
+    dense_loss_and_grad,
+    dense_rows,
+    one_cell_loss_and_grad,
+)
 
 ACTIVE_SMILES = [
     "c1ccccc1",
@@ -68,15 +75,15 @@ def test_gradient_matches_central_differences():
         labels = rng.integers(2, size=m).astype(np.int64)
         weights = rng.normal(size=d)
         bias = float(rng.normal())
-        _, grad_w, grad_b = loss_and_grad(weights, bias, features, labels, 0.05)
+        _, grad_w, grad_b = one_cell_loss_and_grad(weights, bias, features, labels, 0.05)
         for k in range(d):
             bump = np.zeros(d)
             bump[k] = eps
-            up = loss_and_grad(weights + bump, bias, features, labels, 0.05)[0]
-            down = loss_and_grad(weights - bump, bias, features, labels, 0.05)[0]
+            up = one_cell_loss_and_grad(weights + bump, bias, features, labels, 0.05)[0]
+            down = one_cell_loss_and_grad(weights - bump, bias, features, labels, 0.05)[0]
             assert (up - down) / (2 * eps) == pytest.approx(grad_w[k], rel=1e-5, abs=1e-8)
-        up = loss_and_grad(weights, bias + eps, features, labels, 0.05)[0]
-        down = loss_and_grad(weights, bias - eps, features, labels, 0.05)[0]
+        up = one_cell_loss_and_grad(weights, bias + eps, features, labels, 0.05)[0]
+        down = one_cell_loss_and_grad(weights, bias - eps, features, labels, 0.05)[0]
         assert (up - down) / (2 * eps) == pytest.approx(grad_b, rel=1e-5, abs=1e-8)
 
 
@@ -91,14 +98,14 @@ def test_loss_closed_form_on_a_tiny_case():
         sum(math.log1p(math.exp(zi)) - yi * zi for zi, yi in zip(z, labels)) / 3
         + 0.5 * l2 * (0.4**2 + 0.3**2)
     )
-    loss, _, _ = loss_and_grad(weights, bias, features, labels, l2)
+    loss, _, _ = one_cell_loss_and_grad(weights, bias, features, labels, l2)
     assert loss == pytest.approx(expected, rel=1e-12)
 
 
 def test_zero_model_loss_is_log_two():
     features = np.array([[1.0, 0.0], [0.0, 1.0]])
     labels = np.array([1, 0])
-    loss, _, _ = loss_and_grad(np.zeros(2), 0.0, features, labels, 0.0)
+    loss, _, _ = one_cell_loss_and_grad(np.zeros(2), 0.0, features, labels, 0.0)
     assert loss == pytest.approx(math.log(2.0), rel=1e-12)
 
 
@@ -126,11 +133,37 @@ def test_sparse_and_dense_loss_and_grad_agree(
     labels = rng.integers(2, size=n_rows).astype(np.int64)
     weights = rng.normal(size=width)
     bias = float(rng.normal())
-    sparse = loss_and_grad(weights, bias, SparseBatch(*np.nonzero(rows)), labels, 0.01)
-    dense = loss_and_grad(weights, bias, rows.astype(np.float64), labels, 0.01)
+    sparse = one_cell_loss_and_grad(weights, bias, rows, labels, 0.01)
+    dense = dense_loss_and_grad(weights, bias, rows.astype(np.float64), labels, 0.01)
     assert sparse[0] == pytest.approx(dense[0], rel=1e-12, abs=1e-12)
     np.testing.assert_allclose(sparse[1], dense[1], rtol=1e-12, atol=1e-12)
     assert sparse[2] == pytest.approx(dense[2], rel=1e-12, abs=1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n_cells=st.integers(1, 5),
+    width=st.integers(8, 1024),
+    n_rows=st.integers(1, 300),
+    density=st.floats(0.0, 0.3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_a_stacked_step_equals_each_cell_alone_bit_for_bit(
+    n_cells, width, n_rows, density, seed
+):
+    rng = np.random.default_rng(seed)
+    rows = (rng.random((n_cells, n_rows, width)) < density).astype(np.uint8)
+    labels = rng.integers(2, size=(n_cells, n_rows)).astype(np.int64)
+    weights = rng.normal(size=(n_cells, width))
+    biases = rng.normal(size=n_cells)
+    cell, row, col = np.nonzero(rows)
+    batch = SparseBatch(cell * n_rows + row, cell * width + col)
+    losses, grad_w, grad_b = loss_and_grad(weights, biases, batch, labels.ravel(), 1e-3)
+    for c in range(n_cells):
+        alone = one_cell_loss_and_grad(weights[c].copy(), biases[c], rows[c], labels[c], 1e-3)
+        assert losses[c] == alone[0]
+        assert np.array_equal(grad_w[c], alone[1])
+        assert grad_b[c] == alone[2]
 
 
 # --- basic training -----------------------------------------------------
@@ -319,7 +352,7 @@ def test_validation_ranking_ties_like_ranked_list(logits):
     by_records = RankedList.from_records(
         (rid, float(z), int(y)) for rid, z, y in zip(validation.ids, logits, validation.labels)
     )
-    assert _validation_bedroc(validation, logits) == bedroc(by_records)
+    assert _validation_bedrocs(validation.labels, logits[None]) == [bedroc(by_records)]
 
 
 @pytest.fixture(scope="module")
@@ -368,43 +401,63 @@ def test_sparse_epoch_matches_the_dense_reference_epoch(deck_cell, monkeypatch):
     indptr, cols = selftrain._on_bits(rows)
     assert np.array_equal(dense_rows(indptr, cols, 1024), rows)
 
+    # Two cells, each with its own oversampling and shuffle, as the engine draws them.
+    orders = []
+    for seed in (7, 8):
+        rng = np.random.default_rng(seed)
+        indices = selftrain._oversample_to_balance(train.labels, rng)
+        rng.shuffle(indices)
+        orders.append(indices)
+    orders = np.stack(orders)
+    labels = train.labels[orders]
+    stacked_cols = np.concatenate([cols, cols + 1024])
+
     batches = []
     original = selftrain.loss_and_grad
 
-    def recording(weights, bias, features, labels, l2_penalty):
-        if isinstance(features, SparseBatch):
-            dense = np.zeros((len(labels), len(weights)))
-            dense[features.row, features.cols] = 1.0
-        else:
-            dense = features.copy()
+    def recording(weights, biases, batch, labels, l2_penalty):
+        dense = np.zeros((len(labels), weights.size))
+        dense[batch.row, batch.cols] = 1.0
         batches.append((dense, labels.copy()))
-        return original(weights, bias, features, labels, l2_penalty)
+        return original(weights, biases, batch, labels, l2_penalty)
 
     monkeypatch.setattr(selftrain, "loss_and_grad", recording)
-    start = np.random.default_rng(3).normal(scale=0.05, size=1024)
+    start = np.random.default_rng(3).normal(scale=0.05, size=(2, 1024))
     results = []
-    for epoch in (selftrain._run_epoch_on_features, dense_epoch):
-        model = FingerprintClassifier(nbits=1024, weights=start.copy(), bias=0.25)
-        rng = np.random.default_rng(7)
-        loss = epoch(model, indptr, cols, np.arange(train.size), train.labels, 0.1, 1e-4, 128, rng)
-        results.append((model, loss, rng.bit_generator.state))
-    (sparse, sparse_loss, sparse_state), (dense, dense_loss, dense_state) = results
-    # Both epochs drew the same oversampling and shuffle, so they saw the same batches.
-    assert sparse_state == dense_state
-    half = len(batches) // 2
-    assert half == -(-2 * int((train.labels == 0).sum()) // 128)
-    for (a_rows, a_labels), (b_rows, b_labels) in zip(batches[:half], batches[half:]):
-        assert np.array_equal(a_rows, b_rows)
-        assert np.array_equal(a_labels, b_labels)
-    assert np.abs(sparse.weights - dense.weights).max() <= 1e-12
-    assert sparse.bias == pytest.approx(dense.bias, rel=0, abs=1e-12)
-    assert sparse_loss == pytest.approx(dense_loss, rel=0, abs=1e-12)
+    for epoch in (selftrain._run_epoch, dense_epoch):
+        weights, biases = start.copy(), np.array([0.25, -0.25])
+        loss = epoch(weights, biases, indptr, stacked_cols, orders, labels, 0.1, 1e-4, 128)
+        results.append((weights, biases, loss))
+    # Each step of the lockstep epoch is both cells' next minibatch, cell by cell.
+    assert len(batches) == -(-orders.shape[1] // 128)
+    for k, (dense, step_labels) in enumerate(batches):
+        batch = slice(128 * k, 128 * (k + 1))
+        n = len(orders[0, batch])
+        expected = np.zeros((2 * n, 2048))
+        expected[:n, :1024] = rows[orders[0, batch]]
+        expected[n:, 1024:] = rows[orders[1, batch]]
+        assert np.array_equal(dense, expected)
+        assert np.array_equal(step_labels, labels[:, batch].ravel())
+    (sparse_w, sparse_b, sparse_loss), (dense_w, dense_b, dense_loss) = results
+    assert np.abs(sparse_w - dense_w).max() <= 1e-12
+    assert np.abs(sparse_b - dense_b).max() <= 1e-12
+    assert np.abs(sparse_loss - dense_loss).max() <= 1e-12
+
+    # And the lockstep epoch is each cell's own epoch, bit for bit.
+    for c in range(2):
+        weights, biases = start[c : c + 1].copy(), np.array([[0.25, -0.25][c]])
+        loss = selftrain._run_epoch(
+            weights, biases, indptr, cols, orders[c : c + 1], labels[c : c + 1], 0.1, 1e-4, 128
+        )
+        assert np.array_equal(weights[0], sparse_w[c])
+        assert biases[0] == sparse_b[c]
+        assert loss[0] == sparse_loss[c]
 
 
 def test_self_training_stays_within_rounding_of_the_dense_path(deck_cell, monkeypatch):
     train, pool_ids, pool, validation = deck_cell
     sparse, sparse_history = self_train(train, pool_ids, pool, validation, DECK_CELL_CONFIG)
-    monkeypatch.setattr(selftrain, "_run_epoch_on_features", dense_epoch)
+    monkeypatch.setattr(selftrain, "_run_epoch", dense_epoch)
     dense, dense_history = self_train(train, pool_ids, pool, validation, DECK_CELL_CONFIG)
     assert np.abs(sparse.weights - dense.weights).max() <= 1e-12
     assert sparse.bias == pytest.approx(dense.bias, rel=0, abs=1e-12)
@@ -414,6 +467,58 @@ def test_self_training_stays_within_rounding_of_the_dense_path(deck_cell, monkey
         assert ours.loss == pytest.approx(theirs.loss, rel=0, abs=1e-12)
     best = [int(np.argmax([r.val_bedroc for r in h])) for h in (sparse_history, dense_history)]
     assert best[0] == best[1]
+
+
+LOCKSTEP_POOL = tuple(
+    parse_smiles(s)
+    for s in ACTIVE_SMILES
+    + INACTIVE_SMILES
+    + ["CCCc1ccccc1", "Nc1ccccc1", "CCCCO", "OCc1ccncc1", "CC(=O)O", "c1ccc2ccccc2c1"]
+    + ["CCCCCC", "Clc1ccncc1"]
+)
+LOCKSTEP_CONFIGS = [
+    SelfTrainConfig(
+        epochs=12, warmup_epochs=2, refresh_period=2, confidence_threshold=0.8,
+        nbits=256, batch_size=4, learning_rate=0.5, seed=seed,
+    )
+    for seed in (1, 2, 3)
+]
+
+
+def test_lockstep_cells_equal_separate_runs_when_epoch_lengths_differ():
+    ids = tuple(f"g{i}" for i in range(len(LOCKSTEP_POOL)))
+    together = self_train_cells(TRAIN, ids, LOCKSTEP_POOL, VALIDATION, LOCKSTEP_CONFIGS)
+    # TRAIN is balanced, so once pseudo-actives join, a cell's epoch has
+    # 2 * (6 + n_pseudo) rows: cells that admit different counts step apart.
+    per_epoch = list(zip(*([r.n_pseudo for r in history] for _, history in together)))
+    assert any(len(set(counts)) > 1 for counts in per_epoch)
+    assert any(len(set(counts)) < len(counts) for counts in per_epoch if max(counts))
+    for config, (model, history) in zip(LOCKSTEP_CONFIGS, together):
+        alone, alone_history = self_train(TRAIN, ids, LOCKSTEP_POOL, VALIDATION, config)
+        assert np.array_equal(model.weights, alone.weights)
+        assert model.bias == alone.bias
+        assert history == alone_history
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"epochs": 13},
+        {"warmup_epochs": 3},
+        {"refresh_period": 3},
+        {"confidence_threshold": 0.7},
+        {"learning_rate": 0.4},
+        {"l2_penalty": 1e-3},
+        {"batch_size": 8},
+        {"lr_decay_power": 1.0},
+        {"radius": 3},
+        {"nbits": 128},
+    ],
+)
+def test_lockstep_cells_may_differ_only_in_seed(change):
+    other = dataclasses.replace(LOCKSTEP_CONFIGS[1], **change)
+    with pytest.raises(ValueError, match="only in seed"):
+        self_train_cells(TRAIN, (), (), VALIDATION, [LOCKSTEP_CONFIGS[0], other])
 
 
 def test_learning_rate_decay_endpoints():
