@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from scaffscreen.chem import Atom, parse_smiles
+from scaffscreen.chem import Atom, parse_smiles, to_smiles
 from scaffscreen.diffusion import (
     CosineSchedule,
     DenoiserOutput,
@@ -570,27 +570,68 @@ def test_extensions_build_each_transition_matrix_once(monkeypatch):
     assert 0 < len(calls) <= 6 * 5
 
 
+LOCKSTEP_DATASET = (*EXTENSION_DATASET, "c1ccc2ccccc2c1", "C1CC1CCCCCC")
+LOCKSTEP_SCAFFOLDS = (
+    "c1ccccc1",
+    "C1CC1",
+    "c1ccc2ccccc2c1",
+    "c1ccncc1",
+    "C1CCCCC1",
+    "c1ccccc1",
+    "C1CC1",
+    "c1ccc2ccccc2c1",
+    "c1ccncc1",
+)
+# Anthracene outgrows every molecule of LOCKSTEP_DATASET, so its size falls back.
+FALLBACK_SCAFFOLD = "c1ccc2cc3ccccc3cc2c1"
+GOLDEN_EXTENSIONS = Path(__file__).parent / "data" / "extensions_golden.json"
+
+
+def _denoiser(kind, marginals):
+    if kind == "marginal":
+        return MarginalDenoiser(marginals)
+    return OneHotEchoDenoiser(marginals.n_atom_types)
+
+
+def golden_extensions():
+    """SMILES of every entry of one mixed-size call, per denoiser kind."""
+    marginals = compute_marginals(_mols(*LOCKSTEP_DATASET))
+    scaffolds = _mols(*LOCKSTEP_SCAFFOLDS, FALLBACK_SCAFFOLD)
+    out = {}
+    for kind in ("marginal", "echo"):
+        entries, _ = generate_scaffold_extensions(
+            scaffolds,
+            list(range(len(scaffolds))),
+            _denoiser(kind, marginals),
+            marginals,
+            schedule=CosineSchedule(timesteps=12),
+            seed=21,
+        )
+        out[kind] = [to_smiles(entry.molecule) for entry in entries]
+    return out
+
+
+def test_extensions_match_the_golden_smiles():
+    """Both denoisers' extensions, the size fallback among them, are pinned.
+
+    ``tests/data/extensions_golden.json`` holds ``golden_extensions()``; a
+    change that moves a generated molecule on purpose rewrites it.
+    """
+    golden = json.loads(GOLDEN_EXTENSIONS.read_text(encoding="utf-8"))
+    got = golden_extensions()
+    fallback = parse_smiles(FALLBACK_SCAFFOLD).n_atoms
+    assert max(parse_smiles(s).n_atoms for s in LOCKSTEP_DATASET) < fallback
+    assert got == golden
+
+
 @pytest.mark.parametrize("denoiser_kind", ["marginal", "echo"])
 def test_lockstep_extensions_equal_one_chain_runs(denoiser_kind):
     # Chains of several sizes advance together; each must sample exactly the
     # molecule it samples alone from the same spawned generator.
-    marginals = compute_marginals(_mols(*EXTENSION_DATASET, "c1ccc2ccccc2c1", "C1CC1CCCCCC"))
-    if denoiser_kind == "marginal":
-        denoiser = MarginalDenoiser(marginals)
-    else:
-        denoiser = OneHotEchoDenoiser(marginals.n_atom_types)
+    marginals = compute_marginals(_mols(*LOCKSTEP_DATASET))
+    denoiser = _denoiser(denoiser_kind, marginals)
     schedule = CosineSchedule(timesteps=12)
-    scaffolds = _mols(
-        "c1ccccc1",
-        "C1CC1",
-        "c1ccc2ccccc2c1",
-        "c1ccncc1",
-        "C1CCCCC1",
-        "c1ccccc1",
-        "C1CC1",
-        "c1ccc2ccccc2c1",
-        "c1ccncc1",
-    )
+    scaffolds = _mols(*LOCKSTEP_SCAFFOLDS)
     entries, _ = generate_scaffold_extensions(
         scaffolds, list(range(len(scaffolds))), denoiser, marginals, schedule=schedule, seed=21
     )
