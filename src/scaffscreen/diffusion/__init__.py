@@ -17,13 +17,11 @@ from .marginals import (
     encode_molecule,
 )
 from .sampler import (
-    DiffusionState,
     GeneratedEntry,
     GenerationReport,
     extend_scaffold,
     generate_scaffold_extensions,
     posterior_distributions,
-    sample_prior,
 )
 from .schedule import CosineSchedule, mixing_matrix
 
@@ -31,7 +29,6 @@ __all__ = [
     "CosineSchedule",
     "Denoiser",
     "DenoiserOutput",
-    "DiffusionState",
     "EDGE_CATEGORIES",
     "EDGE_NONE",
     "ExternalDenoiser",
@@ -48,5 +45,4 @@ __all__ = [
     "generate_scaffold_extensions",
     "mixing_matrix",
     "posterior_distributions",
-    "sample_prior",
 ]

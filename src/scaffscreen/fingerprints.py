@@ -70,13 +70,6 @@ class Fingerprint:
         if self.bits < 0 or self.bits >> self.nbits:
             raise ValueError("bit pattern wider than nbits")
 
-    @property
-    def popcount(self) -> int:
-        return self.bits.bit_count()
-
-    def to_array(self) -> np.ndarray:
-        return fingerprint_matrix([self])[0]
-
     def to_hex(self) -> str:
         return f"{self.bits:0{self.nbits // 4}x}"
 

@@ -116,12 +116,10 @@ def cmd_augment(args: argparse.Namespace) -> int:
 def cmd_train(args: argparse.Namespace) -> int:
     config = _resolve(args)
     folds = _folds(config, args)
-    pool_ids, pool = [], []
-    if args.generated:
-        pool_ids, pool = read_generated_pool(Path(args.generated))
+    pool = read_generated_pool(Path(args.generated))[1] if args.generated else []
     seed = derive_seed(config.seed, "train", args.split_index, args.eval_index)
     ((_, history),) = train_cells(
-        [Path(args.out)], folds["train"], folds["valid"], pool_ids, pool, config, [seed]
+        [Path(args.out)], folds["train"], folds["valid"], pool, config, [seed]
     )
     best = max(history, key=lambda h: h.val_bedroc)
     print(f"trained {len(history)} epochs, best validation bedroc {best.val_bedroc:.4f}")

@@ -301,7 +301,6 @@ def _labeled_set(records: Sequence[AssayRecord]) -> LabeledSet:
         ids=tuple(r.record_id for r in records),
         molecules=tuple(r.mol for r in records),
         labels=np.array([r.label for r in records], dtype=np.int64),
-        origin="original",
     )
 
 
@@ -309,7 +308,6 @@ def train_cells(
     cell_dirs: Sequence[Path],
     train_records: Sequence[AssayRecord],
     valid_records: Sequence[AssayRecord],
-    pool_ids: Sequence[str],
     pool: Sequence[MolGraph],
     config: RunConfig,
     seeds: Sequence[int],
@@ -321,7 +319,6 @@ def train_cells(
     """
     cells = self_train_cells(
         _labeled_set(train_records),
-        pool_ids,
         pool,
         _labeled_set(valid_records),
         [config.train_config(seed) for seed in seeds],
@@ -589,9 +586,7 @@ def run_experiment(config: RunConfig, run_dir: str | Path | None = None) -> Path
         cell_seeds = [derive_seed(config.seed, "train", i, j) for j in range(config.eval_seeds)]
         train_seeds[str(i)] = cell_seeds
         cell_dirs = [split_dir / f"seed{j}" for j in range(config.eval_seeds)]
-        cells = train_cells(
-            cell_dirs, train_records, valid_records, pool_ids, pool, config, cell_seeds
-        )
+        cells = train_cells(cell_dirs, train_records, valid_records, pool, config, cell_seeds)
         for j, (cell_dir, (model, _)) in enumerate(zip(cell_dirs, cells)):
             test_scores = predict(model, [r.mol for r in test_records])
             rows = [

@@ -17,9 +17,6 @@ Each candidate set computes one Tanimoto matrix, which every lambda and
 both diversity figures read. A step takes the first maximum of the
 objective vector; as candidates are in descending score order (ties by
 position), that is the candidate the tie rule above picks.
-
-Whole-molecule fingerprints can be substituted for scaffold fingerprints
-via ``candidate_fingerprint(..., use_scaffold=False)`` for comparison runs.
 """
 
 from __future__ import annotations
@@ -89,13 +86,10 @@ class RerankedSet:
 
 
 def candidate_fingerprint(
-    mol: MolGraph,
-    use_scaffold: bool = True,
-    radius: int = DEFAULT_RADIUS,
-    nbits: int = DEFAULT_NBITS,
+    mol: MolGraph, radius: int = DEFAULT_RADIUS, nbits: int = DEFAULT_NBITS
 ) -> Fingerprint:
-    target = murcko_scaffold(mol) if use_scaffold else mol
-    return ecfp(target, radius=radius, nbits=nbits)
+    """The fingerprint of ``mol``'s Murcko scaffold."""
+    return ecfp(murcko_scaffold(mol), radius=radius, nbits=nbits)
 
 
 def build_candidates(

@@ -81,18 +81,15 @@ class DegenerateData(ValueError):
 
 @dataclass(frozen=True)
 class LabeledSet:
-    """Molecules with binary labels; origin tags original vs pseudo-labeled data."""
+    """Molecules with binary labels."""
 
     ids: tuple[str, ...]
     molecules: tuple[MolGraph, ...]
     labels: np.ndarray
-    origin: str = "original"
 
     def __post_init__(self) -> None:
         if not (len(self.ids) == len(self.molecules) == len(self.labels)):
             raise ValueError("ids, molecules and labels must align")
-        if self.origin not in ("original", "pseudo"):
-            raise ValueError(f"unknown origin {self.origin!r}")
         labels = np.asarray(self.labels, dtype=np.int64)
         if len(labels) and not np.isin(labels, (0, 1)).all():
             raise ValueError("labels must be binary")
@@ -274,27 +271,15 @@ def predict(model: FingerprintClassifier, mols: Sequence[MolGraph]) -> np.ndarra
     return model.logits(model.featurize(mols))
 
 
-def pseudo_label(
-    model: FingerprintClassifier,
-    pool_ids: Sequence[str],
-    pool: Sequence[MolGraph],
-    confidence_threshold: float,
-) -> LabeledSet:
-    """Entries of ``pool`` scored above the confidence threshold, as pseudo-actives."""
+def pseudo_label(logits: np.ndarray, confidence_threshold: float) -> np.ndarray:
+    """Indices of the pool entries scored above the confidence threshold.
+
+    ``logits`` holds one raw score per pool entry; the chosen entries join
+    the training set as pseudo-actives.
+    """
     if not 0.0 < confidence_threshold <= 1.0:
         raise ValueError("confidence threshold must lie in (0, 1]")
-    if len(pool_ids) != len(pool):
-        raise ValueError("pool ids and molecules must align")
-    if not pool:
-        return LabeledSet(ids=(), molecules=(), labels=np.zeros(0), origin="pseudo")
-    confidence = _sigmoid(predict(model, pool))
-    chosen = np.flatnonzero(confidence > confidence_threshold)
-    return LabeledSet(
-        ids=tuple(pool_ids[int(i)] for i in chosen),
-        molecules=tuple(pool[int(i)] for i in chosen),
-        labels=np.ones(len(chosen), dtype=np.int64),
-        origin="pseudo",
-    )
+    return np.flatnonzero(_sigmoid(logits) > confidence_threshold)
 
 
 def _validation_bedrocs(labels: np.ndarray, logits: np.ndarray) -> list[float]:
@@ -351,7 +336,6 @@ class EpochRecord:
 
 def self_train(
     labeled: LabeledSet,
-    pool_ids: Sequence[str],
     pool: Sequence[MolGraph],
     validation: LabeledSet,
     config: SelfTrainConfig,
@@ -363,13 +347,12 @@ def self_train(
     validation-BEDROC argmax over epochs. This is :func:`self_train_cells`
     with one cell.
     """
-    (cell,) = self_train_cells(labeled, pool_ids, pool, validation, [config])
+    (cell,) = self_train_cells(labeled, pool, validation, [config])
     return cell
 
 
 def self_train_cells(
     labeled: LabeledSet,
-    pool_ids: Sequence[str],
     pool: Sequence[MolGraph],
     validation: LabeledSet,
     configs: Sequence[SelfTrainConfig],
@@ -412,9 +395,9 @@ def self_train_cells(
         orders, epoch_labels = [], []
         for c in range(n_cells):
             if refresh:
-                confidence = _sigmoid(pool_rows @ weights[c] + biases[c])
-                chosen = np.flatnonzero(confidence > config.confidence_threshold)
-                pseudo_rows[c] = n_labeled + chosen
+                pseudo_rows[c] = n_labeled + pseudo_label(
+                    pool_rows @ weights[c] + biases[c], config.confidence_threshold
+                )
             cell_rows = np.concatenate([np.arange(n_labeled), pseudo_rows[c]])
             cell_labels = np.concatenate(
                 [labeled.labels, np.ones(len(pseudo_rows[c]), dtype=np.int64)]

@@ -24,8 +24,11 @@ from scaffscreen.diffusion import (
     CosineSchedule,
     MarginalDenoiser,
     compute_marginals,
+    encode_molecule,
     extend_scaffold,
 )
+from scaffscreen.diffusion import sampler
+from scaffscreen.diffusion.sampler import posterior_distributions
 from scaffscreen.fingerprints import Fingerprint
 from scaffscreen.metrics import RankedList, bedroc, ef_k, log_auc
 from scaffscreen.pipeline.config import RunConfig, resolve_overrides
@@ -35,7 +38,7 @@ from scaffscreen.pipeline.splits import make_splits
 from scaffscreen.pipeline.synthetic import make_benchmark_deck, write_deck_csv
 from scaffscreen.rerank import build_candidates, lambda_sweep, mmr_rerank
 from scaffscreen.sampling import ClusterModel, sample_library, sampling_weights
-from scaffscreen.selftrain import FingerprintClassifier, pseudo_label
+from scaffscreen.selftrain import FingerprintClassifier, predict, pseudo_label
 
 from helpers.reference_selftrain import one_cell_loss_and_grad
 
@@ -293,10 +296,9 @@ def test_sampling_follows_inverse_frequency_distribution():
 # ---------------------------------------------------------------------------
 
 
-def test_extension_preserves_the_scaffold_at_every_step():
+def test_extension_preserves_the_scaffold_at_every_step(monkeypatch):
     molecules = [parse_smiles(s) for s in RING_CORES + DECORATED]
     marginals = compute_marginals(molecules)
-    denoiser = MarginalDenoiser(marginals)
     schedule = CosineSchedule(10)
     scaffolds = [parse_smiles(s) for s in RING_CORES]
 
@@ -305,25 +307,40 @@ def test_extension_preserves_the_scaffold_at_every_step():
     anchor_failures = 0
     size_failures = 0
     decoded_extensions = 0
-    for call in range(1000):
-        scaffold = scaffolds[call % len(scaffolds)]
-        n_scaffold = scaffold.n_atoms
 
-        def on_step(state, node_post, edge_post, n_scaffold=n_scaffold):
-            nonlocal steps, max_dev, anchor_failures, size_failures
+    def record_rows(t, current, pred, prior, schedule):
+        nonlocal max_dev
+        rows = posterior_distributions(t, current, pred, prior, schedule)
+        if rows.size:
+            max_dev = max(max_dev, float(np.abs(rows.sum(axis=1) - 1.0).max()))
+        return rows
+
+    class AnchorCheckingDenoiser(MarginalDenoiser):
+        """Checks every graph the engine asks about, one per reverse step."""
+
+        scaffold = None
+
+        def denoise(self, t, nodes, edges):
+            nonlocal steps, anchor_failures, size_failures
             steps += 1
-            if not state.anchor_intact():
+            anchor_nodes, anchor_edges = encode_molecule(self.scaffold, marginals)
+            n_scaffold = len(anchor_nodes)
+            if not (
+                (nodes[:n_scaffold] == anchor_nodes).all()
+                and (edges[:n_scaffold, :n_scaffold] == anchor_edges).all()
+                and (edges == edges.T).all()
+            ):
                 anchor_failures += 1
-            if not state.n_nodes > n_scaffold:
+            if not len(nodes) > n_scaffold:
                 size_failures += 1
-            dev = float(np.abs(node_post.sum(axis=1) - 1.0).max())
-            if edge_post.size:
-                dev = max(dev, float(np.abs(edge_post.sum(axis=1) - 1.0).max()))
-            max_dev = max(max_dev, dev)
+            return super().denoise(t, nodes, edges)
 
-        mol = extend_scaffold(
-            scaffold, denoiser, marginals, schedule, seed=call, on_step=on_step
-        )
+    monkeypatch.setattr(sampler, "posterior_distributions", record_rows)
+    denoiser = AnchorCheckingDenoiser(marginals)
+    for call in range(1000):
+        scaffold = denoiser.scaffold = scaffolds[call % len(scaffolds)]
+        n_scaffold = scaffold.n_atoms
+        mol = extend_scaffold(scaffold, denoiser, marginals, schedule, seed=call)
         assert mol.subgraph(range(n_scaffold)) == scaffold
         if mol.n_atoms > n_scaffold:
             decoded_extensions += 1
@@ -338,8 +355,9 @@ def test_extension_preserves_the_scaffold_at_every_step():
     _verdict(
         "anchored-extension",
         ok,
-        f"1000 calls x {schedule.timesteps} steps: scaffold intact in all "
-        f"{steps} sampled graphs, every state larger than its scaffold, "
+        f"1000 calls x {schedule.timesteps} steps: scaffold intact and edges "
+        f"symmetric in all {steps} graphs the denoiser saw, every graph larger "
+        f"than its scaffold, "
         f"posterior rows sum to 1 within {max_dev:.1e}, "
         f"{decoded_extensions}/1000 decoded molecules kept extra atoms",
     )
@@ -427,12 +445,8 @@ def test_threshold_one_reduces_to_the_unaugmented_run(reduction_runs):
     rng = np.random.default_rng(77)
     model.weights = rng.standard_normal(256) * 0.25
     model.bias = 0.8
-    pool = [parse_smiles(s) for s in RING_CORES + DECORATED + POOL_EXTRAS]
-    pool_ids = [f"p{i}" for i in range(len(pool))]
-    chosen = [
-        set(pseudo_label(model, pool_ids, pool, tau).ids)
-        for tau in (0.3, 0.5, 0.7, 0.9, 1.0)
-    ]
+    logits = predict(model, [parse_smiles(s) for s in RING_CORES + DECORATED + POOL_EXTRAS])
+    chosen = [set(pseudo_label(logits, tau).tolist()) for tau in (0.3, 0.5, 0.7, 0.9, 1.0)]
     nested = all(later <= earlier for earlier, later in zip(chosen, chosen[1:]))
     sizes = [len(c) for c in chosen]
 

@@ -14,6 +14,11 @@ The trace's ``selftrain.sgd_rows`` sums ``len(labels)`` over the calls of
 labels are the minibatches of the cells it steps, as checked here for one
 cell and for a split's three cells in lockstep. The trace's pseudo-label
 count unpacks ``self_train``'s ``(model, history)``.
+
+The trace's ``diffusion.posterior_distributions.self_s`` times the calls
+of ``diffusion.sampler.posterior_distributions``, so the reverse-diffusion
+loop must compute its posterior rows through that module binding: one call
+for the node rows and one for the pair rows per step.
 """
 
 from __future__ import annotations
@@ -29,6 +34,13 @@ import numpy as np
 
 from scaffscreen import selftrain
 from scaffscreen.chem import parse_smiles
+from scaffscreen.diffusion import (
+    CosineSchedule,
+    MarginalDenoiser,
+    compute_marginals,
+    generate_scaffold_extensions,
+)
+from scaffscreen.diffusion import sampler
 from scaffscreen.pipeline.synthetic import make_benchmark_deck
 
 SCREENBENCH = Path(__file__).resolve().parents[1] / "screenbench"
@@ -111,7 +123,6 @@ def test_sgd_rows_count_one_loss_call_per_minibatch(monkeypatch):
         epochs=8, warmup_epochs=2, refresh_period=1, confidence_threshold=0.5,
         nbits=256, batch_size=16, seed=3,
     )
-    pool_ids = [f"g{i}" for i in range(len(pool))]
     calls = []
     original = selftrain.loss_and_grad
 
@@ -125,7 +136,7 @@ def test_sgd_rows_count_one_loss_call_per_minibatch(monkeypatch):
         return 2 * max(actives, inactives)  # the minority class is oversampled to 1:1
 
     monkeypatch.setattr(selftrain, "loss_and_grad", counting)
-    model, history = selftrain.self_train(train, pool_ids, pool, validation, config)
+    model, history = selftrain.self_train(train, pool, validation, config)
     assert isinstance(model, selftrain.FingerprintClassifier)
     expected = []
     for record in history:
@@ -136,7 +147,26 @@ def test_sgd_rows_count_one_loss_call_per_minibatch(monkeypatch):
 
     calls.clear()
     configs = [dataclasses.replace(config, seed=seed) for seed in (3, 4, 5)]
-    cells = selftrain.self_train_cells(train, pool_ids, pool, validation, configs)
+    cells = selftrain.self_train_cells(train, pool, validation, configs)
     assert sum(calls) == sum(epoch_rows(r) for _, history in cells for r in history)
     # The inactives outnumber the actives in every cell, so the cells step together.
     assert len(calls) == len(expected)
+
+
+def test_each_reverse_step_makes_two_posterior_calls(monkeypatch):
+    marginals = compute_marginals([parse_smiles(s) for s in ("CCO", "c1ccccc1", "CCN(CC)CC")])
+    scaffolds = [parse_smiles(s) for s in ("c1ccccc1", "C1CCCCC1", "c1ccccc1")]
+    schedule = CosineSchedule(timesteps=7)
+    calls = []
+    original = sampler.posterior_distributions
+
+    def counting(t, current, pred, prior, schedule):
+        calls.append(t)
+        return original(t, current, pred, prior, schedule)
+
+    monkeypatch.setattr(sampler, "posterior_distributions", counting)
+    entries, _ = generate_scaffold_extensions(
+        scaffolds, [0, 1, 0], MarginalDenoiser(marginals), marginals, schedule, seed=5
+    )
+    assert len(entries) == 3
+    assert calls == [t for t in range(7, 0, -1) for _ in range(2)]

@@ -12,7 +12,6 @@ from scaffscreen.chem import Atom, parse_smiles, to_smiles
 from scaffscreen.diffusion import (
     CosineSchedule,
     DenoiserOutput,
-    DiffusionState,
     EDGE_NONE,
     ExternalDenoiser,
     GenerationReport,
@@ -29,7 +28,6 @@ from scaffscreen.diffusion import (
 )
 from scaffscreen.diffusion import sampler as sampler_module
 from scaffscreen.diffusion.denoisers import _request_line
-from scaffscreen.diffusion.sampler import _reverse_step, _stack
 
 HELPER = Path(__file__).parent / "helpers" / "echo_denoiser.py"
 
@@ -158,20 +156,6 @@ def test_mixing_matrices_compose_multiplicatively():
 # --- posterior ----------------------------------------------------------
 
 
-def _free_state(t, nodes, edges):
-    """A state with no anchored positions."""
-    n = len(nodes)
-    return DiffusionState(
-        t=t,
-        nodes=np.asarray(nodes, dtype=np.int64),
-        edges=np.asarray(edges, dtype=np.int64),
-        node_mask=np.zeros(n, dtype=bool),
-        edge_mask=np.zeros((n, n), dtype=bool),
-        anchor_nodes=np.zeros(n, dtype=np.int64),
-        anchor_edges=np.zeros((n, n), dtype=np.int64),
-    )
-
-
 def _oracle_posterior(pred_rows, current, qstep, qbar_prev):
     """Bayes rule per clean category, normalized by an explicit sum."""
     n_positions, n_clean = pred_rows.shape
@@ -192,30 +176,23 @@ def _assert_posterior_matches_bayes(marginals, schedule, seed):
     # Only categories with prior support are reachable by the forward
     # process, so random states must stay inside that support.
     reachable = np.flatnonzero(marginals.edge_prior > 0)
-    pairs = rng.choice(reachable, size=(n, n))
-    edges = np.triu(pairs, k=1)
-    edges = edges + edges.T
-    state = _free_state(7, nodes, edges)
-
-    pred = DenoiserOutput(
-        node_probs=rng.dirichlet(np.ones(a), size=n),
-        edge_probs=rng.dirichlet(np.ones(5), size=(n, n)),
-    )
-    node_post, edge_post = posterior_distributions(state, pred, marginals, schedule)
+    iu, ju = np.triu_indices(n, k=1)
+    pairs = rng.choice(reachable, size=(n, n))[iu, ju]
+    node_pred = rng.dirichlet(np.ones(a), size=n)
+    pair_pred = rng.dirichlet(np.ones(5), size=(n, n))[iu, ju]
+    node_post = posterior_distributions(7, nodes, node_pred, marginals.node_prior, schedule)
+    pair_post = posterior_distributions(7, pairs, pair_pred, marginals.edge_prior, schedule)
 
     qstep_x = mixing_matrix(schedule.step_ratio(7), marginals.node_prior)
     qprev_x = mixing_matrix(schedule.alpha_bar(6), marginals.node_prior)
     assert np.allclose(
-        node_post, _oracle_posterior(pred.node_probs, nodes, qstep_x, qprev_x), atol=1e-12
+        node_post, _oracle_posterior(node_pred, nodes, qstep_x, qprev_x), atol=1e-12
     )
 
-    iu, ju = np.triu_indices(n, k=1)
     qstep_e = mixing_matrix(schedule.step_ratio(7), marginals.edge_prior)
     qprev_e = mixing_matrix(schedule.alpha_bar(6), marginals.edge_prior)
     assert np.allclose(
-        edge_post,
-        _oracle_posterior(pred.edge_probs[iu, ju], edges[iu, ju], qstep_e, qprev_e),
-        atol=1e-12,
+        pair_post, _oracle_posterior(pair_pred, pairs, qstep_e, qprev_e), atol=1e-12
     )
 
 
@@ -257,64 +234,81 @@ def test_posterior_rows_sum_to_one_without_rescaling():
     schedule = CosineSchedule(timesteps=20)
     rng = np.random.default_rng(3)
     n, a = 6, marginals.n_atom_types
+    iu, ju = np.triu_indices(n, k=1)
     nodes = rng.integers(a, size=n)
     reachable = np.flatnonzero(marginals.edge_prior > 0)
-    pairs = rng.choice(reachable, size=(n, n))
-    edges = np.triu(pairs, k=1) + np.triu(pairs, k=1).T
+    pairs = rng.choice(reachable, size=(n, n))[iu, ju]
     for t in (1, 5, 10, 20):
-        state = _free_state(t, nodes, edges)
-        pred = DenoiserOutput(
-            node_probs=rng.dirichlet(np.ones(a), size=n),
-            edge_probs=rng.dirichlet(np.ones(5), size=(n, n)),
-        )
-        node_post, edge_post = posterior_distributions(state, pred, marginals, schedule)
+        node_pred = rng.dirichlet(np.ones(a), size=n)
+        pair_pred = rng.dirichlet(np.ones(5), size=(n, n))[iu, ju]
+        node_post = posterior_distributions(t, nodes, node_pred, marginals.node_prior, schedule)
+        pair_post = posterior_distributions(t, pairs, pair_pred, marginals.edge_prior, schedule)
         assert np.allclose(node_post.sum(axis=1), 1.0, atol=1e-9)
-        assert np.allclose(edge_post.sum(axis=1), 1.0, atol=1e-9)
+        assert np.allclose(pair_post.sum(axis=1), 1.0, atol=1e-9)
 
 
 def test_posterior_requires_positive_t():
     marginals = compute_marginals(_mols("CCO"))
     schedule = CosineSchedule(timesteps=10)
-    state = _free_state(0, [0, 1], np.zeros((2, 2), dtype=np.int64))
-    pred = MarginalDenoiser(marginals).denoise(0, state.nodes, state.edges)
-    with pytest.raises(ValueError):
-        posterior_distributions(state, pred, marginals, schedule)
+    nodes = np.array([0, 1])
+    pred = MarginalDenoiser(marginals).denoise(0, nodes, np.zeros((2, 2), dtype=np.int64))
+    for t in (0, 11):
+        with pytest.raises(ValueError, match=r"t must lie in \[1, 10\]"):
+            posterior_distributions(t, nodes, pred.node_probs, marginals.node_prior, schedule)
 
 
-def test_posterior_step_keeps_anchor_and_decrements_t():
+class RecordingDenoiser:
+    """Forwards to ``inner`` and keeps a copy of every (t, nodes, edges) asked about."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.seen = []
+
+    def denoise(self, t, nodes, edges):
+        self.seen.append((t, nodes.copy(), edges.copy()))
+        return self.inner.denoise(t, nodes, edges)
+
+
+def _record_posteriors(monkeypatch):
+    """Route the engine's posterior through a recorder of (t, current, rows)."""
+    calls = []
+
+    def recording(t, current, pred, prior, schedule):
+        rows = posterior_distributions(t, current, pred, prior, schedule)
+        calls.append((t, current.copy(), rows))
+        return rows
+
+    monkeypatch.setattr(sampler_module, "posterior_distributions", recording)
+    return calls
+
+
+def test_posterior_step_keeps_anchor_and_decrements_t(monkeypatch):
     marginals = compute_marginals(_mols("CCO", "c1ccccc1", "CCN(CC)CC"))
     schedule = CosineSchedule(timesteps=10)
     scaffold = parse_smiles("c1ccccc1")
-    nodes, edges = encode_molecule(scaffold, marginals)
-    n = 9
-    anchor_nodes = np.zeros(n, dtype=np.int64)
-    anchor_nodes[:6] = nodes
-    anchor_edges = np.zeros((n, n), dtype=np.int64)
-    anchor_edges[:6, :6] = edges
-    node_mask = np.zeros(n, dtype=bool)
-    node_mask[:6] = True
-    edge_mask = np.zeros((n, n), dtype=bool)
-    edge_mask[:6, :6] = True
-    np.fill_diagonal(edge_mask, False)
-    rng = np.random.default_rng(1)
-    state = DiffusionState(
-        t=10,
-        nodes=rng.integers(marginals.n_atom_types, size=n),
-        edges=np.zeros((n, n), dtype=np.int64),
-        node_mask=node_mask,
-        edge_mask=edge_mask,
-        anchor_nodes=anchor_nodes,
-        anchor_edges=anchor_edges,
-    ).anchored()
-    assert state.anchor_intact()
-    pred = MarginalDenoiser(marginals).denoise(state.t, state.nodes, state.edges)
-    chains, node_post, edge_post = _reverse_step(_stack([state], [rng]), [pred], marginals, schedule)
-    stepped = chains.state(0)
-    assert stepped.t == 9
-    assert stepped.anchor_intact()
-    assert (stepped.edges == stepped.edges.T).all()
-    assert node_post.shape == (n, marginals.n_atom_types)
-    assert edge_post.shape[0] == n * (n - 1) // 2
+    anchor_nodes, anchor_edges = encode_molecule(scaffold, marginals)
+    denoiser = RecordingDenoiser(MarginalDenoiser(marginals))
+    posteriors = _record_posteriors(monkeypatch)
+    mol = extend_scaffold(scaffold, denoiser, marginals, schedule=schedule, seed=1)
+    assert [t for t, _, _ in denoiser.seen] == list(range(10, 0, -1))
+    (n,) = {len(nodes) for _, nodes, _ in denoiser.seen}
+    assert n > 6
+    for _, nodes, edges in denoiser.seen:
+        assert (nodes[:6] == anchor_nodes).all()
+        assert (edges[:6, :6] == anchor_edges).all()
+        assert (edges == edges.T).all()
+        assert (np.diag(edges) == EDGE_NONE).all()
+    # Each step computes the node rows, then the pair rows, from the graph it was asked about.
+    assert [t for t, _, _ in posteriors] == [t for t in range(10, 0, -1) for _ in "np"]
+    iu, ju = np.triu_indices(n, k=1)
+    for (_, nodes, edges), node_call, pair_call in zip(
+        denoiser.seen, posteriors[::2], posteriors[1::2]
+    ):
+        assert (node_call[1] == nodes).all()
+        assert node_call[2].shape == (n, marginals.n_atom_types)
+        assert (pair_call[1] == edges[iu, ju]).all()
+        assert pair_call[2].shape == (n * (n - 1) // 2, marginals.n_edge_types)
+    assert mol.subgraph(range(6)) == scaffold
 
 
 # --- denoisers ----------------------------------------------------------
@@ -473,28 +467,22 @@ EXTENSION_DATASET = (
 )
 
 
-def test_extension_keeps_scaffold_anchored_at_every_step():
+def test_extension_keeps_scaffold_anchored_at_every_step(monkeypatch):
     marginals = compute_marginals(_mols(*EXTENSION_DATASET))
     schedule = CosineSchedule(timesteps=10)
     scaffold = parse_smiles("c1ccccc1")
-    seen = []
-
-    def hook(state, node_post, edge_post):
-        seen.append(state.t)
-        assert state.anchor_intact()
-        assert (state.edges == state.edges.T).all()
-        assert np.allclose(node_post.sum(axis=1), 1.0, atol=1e-9)
-        assert np.allclose(edge_post.sum(axis=1), 1.0, atol=1e-9)
-
-    mol = extend_scaffold(
-        scaffold,
-        OneHotEchoDenoiser(marginals.n_atom_types),
-        marginals,
-        schedule=schedule,
-        seed=3,
-        on_step=hook,
-    )
-    assert seen == list(range(9, -1, -1))
+    anchor_nodes, anchor_edges = encode_molecule(scaffold, marginals)
+    denoiser = RecordingDenoiser(OneHotEchoDenoiser(marginals.n_atom_types))
+    posteriors = _record_posteriors(monkeypatch)
+    mol = extend_scaffold(scaffold, denoiser, marginals, schedule=schedule, seed=3)
+    assert [t for t, _, _ in denoiser.seen] == list(range(10, 0, -1))
+    for _, nodes, edges in denoiser.seen:
+        assert (nodes[:6] == anchor_nodes).all()
+        assert (edges[:6, :6] == anchor_edges).all()
+        assert (edges == edges.T).all()
+    assert len(posteriors) == 2 * schedule.timesteps
+    for _, _, rows in posteriors:
+        assert np.allclose(rows.sum(axis=1), 1.0, atol=1e-9)
     assert mol.n_atoms >= scaffold.n_atoms
     assert mol.subgraph(range(scaffold.n_atoms)) == scaffold
 
@@ -530,20 +518,12 @@ def test_size_fallback_when_histogram_cannot_exceed_scaffold():
     # exhausts rejection sampling and lands on size + 5.
     marginals = compute_marginals(_mols("c1ccccc1"))
     scaffold = parse_smiles("c1ccc2ccccc2c1")
-    sizes = []
-
-    def hook(state, node_post, edge_post):
-        sizes.append(state.n_nodes)
-
+    denoiser = RecordingDenoiser(OneHotEchoDenoiser(marginals.n_atom_types))
     extend_scaffold(
-        scaffold,
-        OneHotEchoDenoiser(marginals.n_atom_types),
-        marginals,
-        schedule=CosineSchedule(timesteps=5),
-        seed=0,
-        on_step=hook,
+        scaffold, denoiser, marginals, schedule=CosineSchedule(timesteps=5), seed=0
     )
-    assert set(sizes) == {scaffold.n_atoms + 5}
+    assert len(denoiser.seen) == 5
+    assert {len(nodes) for _, nodes, _ in denoiser.seen} == {scaffold.n_atoms + 5}
 
 
 def test_extensions_build_each_transition_matrix_once(monkeypatch):

@@ -176,11 +176,9 @@ def test_singleton_candidate_set():
 
 def test_candidate_fingerprint_modes():
     mol = parse_smiles("CCc1ccccc1")
-    scaffold_fp = candidate_fingerprint(mol, use_scaffold=True, nbits=256)
-    whole_fp = candidate_fingerprint(mol, use_scaffold=False, nbits=256)
+    scaffold_fp = candidate_fingerprint(mol, nbits=256)
     assert scaffold_fp == ecfp(murcko_scaffold(mol), nbits=256)
-    assert whole_fp == ecfp(mol, nbits=256)
-    assert scaffold_fp != whole_fp
+    assert scaffold_fp != ecfp(mol, nbits=256)
 
 
 # --- reports ------------------------------------------------------------

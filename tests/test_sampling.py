@@ -101,7 +101,7 @@ def test_two_blobs_are_recovered():
 def test_reported_silhouette_matches_recomputation():
     fps = BLOB_A + BLOB_B
     model = cluster_scaffolds(fps, k_range=[2, 3], seed=0)
-    points = np.stack([fp.to_array() for fp in fps])
+    points = fingerprint_matrix(fps)
     assert model.silhouette_score == pytest.approx(
         silhouette(points, model.assignments), abs=1e-12
     )

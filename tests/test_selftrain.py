@@ -48,14 +48,13 @@ ACTIVE_SMILES = [
 INACTIVE_SMILES = ["CCO", "CCC", "CCCC", "CCN", "CCOC", "CC(C)C"]
 
 
-def _labeled(actives, inactives, origin="original") -> LabeledSet:
+def _labeled(actives, inactives) -> LabeledSet:
     smiles = list(actives) + list(inactives)
     labels = np.array([1] * len(actives) + [0] * len(inactives), dtype=np.int64)
     return LabeledSet(
         ids=tuple(f"x{i}" for i in range(len(smiles))),
         molecules=tuple(parse_smiles(s) for s in smiles),
         labels=labels,
-        origin=origin,
     )
 
 
@@ -173,7 +172,7 @@ def test_training_separates_an_easy_problem():
     config = SelfTrainConfig(
         epochs=30, warmup_epochs=30, nbits=256, learning_rate=0.5, seed=1
     )
-    model, history = self_train(TRAIN, (), (), VALIDATION, config)
+    model, history = self_train(TRAIN, (), VALIDATION, config)
     logits = predict(model, TRAIN.molecules)
     actives = logits[TRAIN.labels == 1]
     inactives = logits[TRAIN.labels == 0]
@@ -186,7 +185,7 @@ def test_self_train_lowers_the_loss_after_one_epoch():
     config = SelfTrainConfig(
         epochs=2, warmup_epochs=2, nbits=256, learning_rate=0.5, seed=0
     )
-    model, history = self_train(TRAIN, (), (), VALIDATION, config)
+    model, history = self_train(TRAIN, (), VALIDATION, config)
     assert history[1].loss < history[0].loss
     assert model.weights.any()
 
@@ -195,13 +194,13 @@ def test_self_train_requires_both_training_classes():
     lopsided = _labeled(ACTIVE_SMILES, [])
     config = SelfTrainConfig(epochs=2, warmup_epochs=2, nbits=256)
     with pytest.raises(DegenerateData):
-        self_train(lopsided, (), (), VALIDATION, config)
+        self_train(lopsided, (), VALIDATION, config)
 
 
 def test_self_train_requires_mixed_validation():
     config = SelfTrainConfig(epochs=2, warmup_epochs=0, nbits=256)
     with pytest.raises(DegenerateData):
-        self_train(TRAIN, (), (), _labeled(["c1ccccc1"], []), config)
+        self_train(TRAIN, (), _labeled(["c1ccccc1"], []), config)
 
 
 def test_predict_on_empty_input():
@@ -221,46 +220,34 @@ def test_confidence_gate_is_strict():
     # Zero weights leave the logit equal to the bias, so the confidence is
     # exactly sigmoid(bias) for every molecule.
     model = FingerprintClassifier(nbits=128, bias=0.0)
-    pool = tuple(parse_smiles(s) for s in ACTIVE_SMILES)
-    ids = tuple(f"g{i}" for i in range(len(pool)))
-    at_threshold = pseudo_label(model, ids, pool, confidence_threshold=0.5)
-    assert at_threshold.size == 0
-    below = pseudo_label(model, ids, pool, confidence_threshold=0.4999)
-    assert below.size == len(pool)
-    assert below.origin == "pseudo"
-    assert (below.labels == 1).all()
-    assert below.ids == ids
+    logits = predict(model, [parse_smiles(s) for s in ACTIVE_SMILES])
+    assert pseudo_label(logits, confidence_threshold=0.5).size == 0
+    below = pseudo_label(logits, confidence_threshold=0.4999)
+    assert below.tolist() == list(range(len(ACTIVE_SMILES)))
 
 
 def test_threshold_one_admits_nothing():
     model = FingerprintClassifier(nbits=128, bias=30.0)
-    pool = tuple(parse_smiles(s) for s in ACTIVE_SMILES)
-    ids = tuple(f"g{i}" for i in range(len(pool)))
-    assert pseudo_label(model, ids, pool, confidence_threshold=1.0).size == 0
+    logits = predict(model, [parse_smiles(s) for s in ACTIVE_SMILES])
+    assert pseudo_label(logits, confidence_threshold=1.0).size == 0
 
 
 def test_lower_thresholds_admit_supersets():
     rng = np.random.default_rng(5)
     model = FingerprintClassifier(nbits=128, weights=rng.normal(size=128), bias=0.0)
-    pool = tuple(parse_smiles(s) for s in ACTIVE_SMILES + INACTIVE_SMILES)
-    ids = tuple(f"g{i}" for i in range(len(pool)))
-    loose = set(pseudo_label(model, ids, pool, confidence_threshold=0.3).ids)
-    tight = set(pseudo_label(model, ids, pool, confidence_threshold=0.7).ids)
+    logits = predict(model, [parse_smiles(s) for s in ACTIVE_SMILES + INACTIVE_SMILES])
+    loose = set(pseudo_label(logits, confidence_threshold=0.3).tolist())
+    tight = set(pseudo_label(logits, confidence_threshold=0.7).tolist())
     assert tight <= loose
 
 
 def test_pseudo_label_validation():
-    model = FingerprintClassifier(nbits=128)
-    pool = (parse_smiles("CCO"),)
+    logits = np.zeros(1)
     with pytest.raises(ValueError):
-        pseudo_label(model, ("a",), pool, confidence_threshold=0.0)
+        pseudo_label(logits, confidence_threshold=0.0)
     with pytest.raises(ValueError):
-        pseudo_label(model, ("a",), pool, confidence_threshold=1.2)
-    with pytest.raises(ValueError):
-        pseudo_label(model, ("a", "b"), pool, confidence_threshold=0.5)
-    empty = pseudo_label(model, (), (), confidence_threshold=0.5)
-    assert empty.size == 0
-    assert empty.origin == "pseudo"
+        pseudo_label(logits, confidence_threshold=1.2)
+    assert pseudo_label(np.zeros(0), confidence_threshold=0.5).size == 0
 
 
 # --- self-training schedule ---------------------------------------------
@@ -268,7 +255,6 @@ def test_pseudo_label_validation():
 
 def test_pool_refresh_obeys_warmup_and_cadence():
     pool = tuple(parse_smiles(s) for s in ACTIVE_SMILES * 3)
-    ids = tuple(f"g{i}" for i in range(len(pool)))
     config = SelfTrainConfig(
         epochs=12,
         warmup_epochs=4,
@@ -278,7 +264,7 @@ def test_pool_refresh_obeys_warmup_and_cadence():
         learning_rate=0.5,
         seed=2,
     )
-    _, history = self_train(TRAIN, ids, pool, VALIDATION, config)
+    _, history = self_train(TRAIN, pool, VALIDATION, config)
     refresh_epochs = {5, 10}
     for record in history:
         if record.epoch < config.warmup_epochs:
@@ -291,12 +277,11 @@ def test_pool_refresh_obeys_warmup_and_cadence():
 
 def test_threshold_one_equals_empty_pool_exactly():
     pool = tuple(parse_smiles(s) for s in ACTIVE_SMILES * 2)
-    ids = tuple(f"g{i}" for i in range(len(pool)))
     config = SelfTrainConfig(
         epochs=10, warmup_epochs=2, confidence_threshold=1.0, nbits=256, seed=3
     )
-    gated, gated_history = self_train(TRAIN, ids, pool, VALIDATION, config)
-    plain, plain_history = self_train(TRAIN, (), (), VALIDATION, config)
+    gated, gated_history = self_train(TRAIN, pool, VALIDATION, config)
+    plain, plain_history = self_train(TRAIN, (), VALIDATION, config)
     assert (gated.weights == plain.weights).all()
     assert gated.bias == plain.bias
     assert gated_history == plain_history
@@ -307,18 +292,17 @@ def test_self_training_is_deterministic():
     # Small batches make the shuffled batch composition part of the result,
     # so the seed has an observable effect to pin down.
     pool = tuple(parse_smiles(s) for s in ACTIVE_SMILES)
-    ids = tuple(f"g{i}" for i in range(len(pool)))
     config = SelfTrainConfig(
         epochs=8, warmup_epochs=2, confidence_threshold=0.3, nbits=256,
         batch_size=4, seed=4,
     )
-    first, first_history = self_train(TRAIN, ids, pool, VALIDATION, config)
-    second, second_history = self_train(TRAIN, ids, pool, VALIDATION, config)
+    first, first_history = self_train(TRAIN, pool, VALIDATION, config)
+    second, second_history = self_train(TRAIN, pool, VALIDATION, config)
     assert (first.weights == second.weights).all()
     assert first.bias == second.bias
     assert first_history == second_history
     other, _ = self_train(
-        TRAIN, ids, pool, VALIDATION, SelfTrainConfig(
+        TRAIN, pool, VALIDATION, SelfTrainConfig(
             epochs=8, warmup_epochs=2, confidence_threshold=0.3, nbits=256,
             batch_size=4, seed=5,
         )
@@ -328,7 +312,7 @@ def test_self_training_is_deterministic():
 
 def test_returned_model_attains_the_best_validation_score():
     config = SelfTrainConfig(epochs=15, warmup_epochs=15, nbits=256, seed=6)
-    model, history = self_train(TRAIN, (), (), VALIDATION, config)
+    model, history = self_train(TRAIN, (), VALIDATION, config)
     logits = predict(model, VALIDATION.molecules)
     ranked = RankedList.from_records(
         (rid, float(z), int(y))
@@ -369,8 +353,7 @@ def deck_cell(benchmark_deck):
         )
 
     pool = tuple(mols[i] for i in np.flatnonzero(labels == 1))
-    pool_ids = tuple(f"g{i}" for i in range(len(pool)))
-    return labeled(range(1200)), pool_ids, pool, labeled(range(1200, 1600))
+    return labeled(range(1200)), pool, labeled(range(1200, 1600))
 
 
 DECK_CELL_CONFIG = SelfTrainConfig(
@@ -383,11 +366,11 @@ def test_pseudo_labeled_self_training_stays_within_a_memory_bound(deck_cell):
     # 1 200 training rows at 1 024 bits are 9.8 MB as float64; building the
     # rows as float64, or copying them for each pseudo-labeled epoch, goes
     # well past the bound.
-    train, pool_ids, pool, validation = deck_cell
+    train, pool, validation = deck_cell
     assert len(pool) == 20
     tracemalloc.start()
     try:
-        _, history = self_train(train, pool_ids, pool, validation, DECK_CELL_CONFIG)
+        _, history = self_train(train, pool, validation, DECK_CELL_CONFIG)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -455,10 +438,10 @@ def test_sparse_epoch_matches_the_dense_reference_epoch(deck_cell, monkeypatch):
 
 
 def test_self_training_stays_within_rounding_of_the_dense_path(deck_cell, monkeypatch):
-    train, pool_ids, pool, validation = deck_cell
-    sparse, sparse_history = self_train(train, pool_ids, pool, validation, DECK_CELL_CONFIG)
+    train, pool, validation = deck_cell
+    sparse, sparse_history = self_train(train, pool, validation, DECK_CELL_CONFIG)
     monkeypatch.setattr(selftrain, "_run_epoch", dense_epoch)
-    dense, dense_history = self_train(train, pool_ids, pool, validation, DECK_CELL_CONFIG)
+    dense, dense_history = self_train(train, pool, validation, DECK_CELL_CONFIG)
     assert np.abs(sparse.weights - dense.weights).max() <= 1e-12
     assert sparse.bias == pytest.approx(dense.bias, rel=0, abs=1e-12)
     assert [r.n_pseudo for r in sparse_history] == [r.n_pseudo for r in dense_history]
@@ -486,15 +469,14 @@ LOCKSTEP_CONFIGS = [
 
 
 def test_lockstep_cells_equal_separate_runs_when_epoch_lengths_differ():
-    ids = tuple(f"g{i}" for i in range(len(LOCKSTEP_POOL)))
-    together = self_train_cells(TRAIN, ids, LOCKSTEP_POOL, VALIDATION, LOCKSTEP_CONFIGS)
+    together = self_train_cells(TRAIN, LOCKSTEP_POOL, VALIDATION, LOCKSTEP_CONFIGS)
     # TRAIN is balanced, so once pseudo-actives join, a cell's epoch has
     # 2 * (6 + n_pseudo) rows: cells that admit different counts step apart.
     per_epoch = list(zip(*([r.n_pseudo for r in history] for _, history in together)))
     assert any(len(set(counts)) > 1 for counts in per_epoch)
     assert any(len(set(counts)) < len(counts) for counts in per_epoch if max(counts))
     for config, (model, history) in zip(LOCKSTEP_CONFIGS, together):
-        alone, alone_history = self_train(TRAIN, ids, LOCKSTEP_POOL, VALIDATION, config)
+        alone, alone_history = self_train(TRAIN, LOCKSTEP_POOL, VALIDATION, config)
         assert np.array_equal(model.weights, alone.weights)
         assert model.bias == alone.bias
         assert history == alone_history
@@ -518,7 +500,7 @@ def test_lockstep_cells_equal_separate_runs_when_epoch_lengths_differ():
 def test_lockstep_cells_may_differ_only_in_seed(change):
     other = dataclasses.replace(LOCKSTEP_CONFIGS[1], **change)
     with pytest.raises(ValueError, match="only in seed"):
-        self_train_cells(TRAIN, (), (), VALIDATION, [LOCKSTEP_CONFIGS[0], other])
+        self_train_cells(TRAIN, (), VALIDATION, [LOCKSTEP_CONFIGS[0], other])
 
 
 def test_learning_rate_decay_endpoints():
@@ -560,8 +542,6 @@ def test_labeled_set_validation():
         LabeledSet(ids=("a", "b"), molecules=mols, labels=np.array([0]))
     with pytest.raises(ValueError):
         LabeledSet(ids=("a",), molecules=mols, labels=np.array([2]))
-    with pytest.raises(ValueError):
-        LabeledSet(ids=("a",), molecules=mols, labels=np.array([1]), origin="guessed")
     half = _labeled(["c1ccccc1"], ["CCO"])
     assert half.active_fraction == 0.5
     assert LabeledSet(ids=(), molecules=(), labels=np.zeros(0)).active_fraction == 0.0
@@ -598,7 +578,7 @@ def test_checkpoint_version_gate(tmp_path):
 
 def test_history_csv_preserves_floats_exactly(tmp_path):
     config = SelfTrainConfig(epochs=3, warmup_epochs=3, nbits=256, seed=9)
-    _, history = self_train(TRAIN, (), (), VALIDATION, config)
+    _, history = self_train(TRAIN, (), VALIDATION, config)
     path = tmp_path / "history.csv"
     write_history_csv(path, history)
     lines = path.read_text().splitlines()
