@@ -48,7 +48,7 @@ import numpy as np
 
 from .chem.graph import MolGraph
 from .chem.scaffold import murcko_scaffold
-from .fingerprints import DEFAULT_NBITS, DEFAULT_RADIUS, Fingerprint, ecfp, tanimoto_matrix
+from .fingerprints import DEFAULT_NBITS, DEFAULT_RADIUS, Fingerprint, ecfps, tanimoto_matrix
 
 __all__ = [
     "DegenerateLabels",
@@ -209,7 +209,7 @@ def sd_k(
         raise ValueError(f"expected exactly {k} molecules, got {len(mols)}")
     if k < 2:
         raise ValueError("scaffold diversity needs at least two molecules")
-    fps = [ecfp(murcko_scaffold(mol), radius=radius, nbits=nbits) for mol in mols]
+    fps = ecfps([murcko_scaffold(mol) for mol in mols], radius, nbits)
     return 1.0 - pairwise_mean_tanimoto(fps)
 
 

@@ -50,7 +50,7 @@ from ..diffusion import (
     compute_marginals,
     generate_scaffold_extensions,
 )
-from ..fingerprints import Fingerprint, ecfp, fingerprint_matrix
+from ..fingerprints import Fingerprint, ecfps, fingerprint_matrix
 from ..metrics import (
     DegenerateLabels,
     RankedList,
@@ -194,7 +194,7 @@ def augment_split(
             note="no ring-bearing actives in the training fold",
         )
 
-    fps = [ecfp(s, radius=config.radius, nbits=config.nbits) for s in scaffolds]
+    fps = ecfps(scaffolds, config.radius, config.nbits)
     if len(scaffolds) >= 3:
         k_hi = min(config.k_max, len(scaffolds) - 1)
         k_range = range(config.k_min, k_hi + 1) if k_hi >= config.k_min else None
@@ -298,7 +298,6 @@ def read_generated_pool(path: Path) -> tuple[list[str], list[MolGraph]]:
 
 def _labeled_set(records: Sequence[AssayRecord]) -> LabeledSet:
     return LabeledSet(
-        ids=tuple(r.record_id for r in records),
         molecules=tuple(r.mol for r in records),
         labels=np.array([r.label for r in records], dtype=np.int64),
     )
@@ -535,11 +534,15 @@ class _Report:
         with open(report_dir / "umap_input.csv", "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["id", "origin", "label", "fp_hex"])
-            for record in self.assay.records:
-                fp = ecfp(record.mol, radius=config.radius, nbits=config.nbits)
+            records = self.assay.records
+            fps = ecfps(
+                [r.mol for r in records] + [mol for _, mol in self.generated],
+                config.radius,
+                config.nbits,
+            )
+            for record, fp in zip(records, fps):
                 writer.writerow([record.record_id, "assay", record.label, fp.to_hex()])
-            for gen_id, mol in self.generated:
-                fp = ecfp(mol, radius=config.radius, nbits=config.nbits)
+            for (gen_id, _), fp in zip(self.generated, fps[len(records) :]):
                 writer.writerow([gen_id, "generated", "", fp.to_hex()])
 
         with open(report_dir / "notes.json", "w", encoding="utf-8", newline="\n") as fh:

@@ -51,7 +51,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .chem.graph import MolGraph
-from .fingerprints import DEFAULT_NBITS, DEFAULT_RADIUS, ecfp, fingerprint_matrix
+from .fingerprints import DEFAULT_NBITS, DEFAULT_RADIUS, ecfps, fingerprint_matrix
 from .metrics import bedroc_of_order
 
 __all__ = [
@@ -83,13 +83,12 @@ class DegenerateData(ValueError):
 class LabeledSet:
     """Molecules with binary labels."""
 
-    ids: tuple[str, ...]
     molecules: tuple[MolGraph, ...]
     labels: np.ndarray
 
     def __post_init__(self) -> None:
-        if not (len(self.ids) == len(self.molecules) == len(self.labels)):
-            raise ValueError("ids, molecules and labels must align")
+        if len(self.molecules) != len(self.labels):
+            raise ValueError("molecules and labels must align")
         labels = np.asarray(self.labels, dtype=np.int64)
         if len(labels) and not np.isin(labels, (0, 1)).all():
             raise ValueError("labels must be binary")
@@ -98,10 +97,6 @@ class LabeledSet:
     @property
     def size(self) -> int:
         return len(self.molecules)
-
-    @property
-    def active_fraction(self) -> float:
-        return float(self.labels.mean()) if self.size else 0.0
 
 
 @dataclass
@@ -123,9 +118,7 @@ class FingerprintClassifier:
         """One uint8 0/1 row per molecule."""
         if not mols:
             return np.zeros((0, self.nbits), dtype=np.uint8)
-        return fingerprint_matrix(
-            [ecfp(m, radius=self.radius, nbits=self.nbits) for m in mols], dtype=np.uint8
-        )
+        return fingerprint_matrix(ecfps(mols, self.radius, self.nbits), dtype=np.uint8)
 
     def logits(self, features: np.ndarray) -> np.ndarray:
         return features.astype(np.float64, copy=False) @ self.weights + self.bias

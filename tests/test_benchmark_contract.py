@@ -112,7 +112,6 @@ def test_sgd_rows_count_one_loss_call_per_minibatch(monkeypatch):
 
     def labeled(rows):
         return selftrain.LabeledSet(
-            ids=tuple(deck.ids[i] for i in rows),
             molecules=tuple(mols[i] for i in rows),
             labels=labels[list(rows)],
         )

@@ -1,6 +1,12 @@
 from __future__ import annotations
 
+import csv
 import gc
+import hashlib
+import json
+import weakref
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,10 +21,15 @@ from scaffscreen.fingerprints import (
     Fingerprint,
     WidthMismatch,
     ecfp,
+    ecfps,
     fingerprint_matrix,
     tanimoto,
     tanimoto_matrix,
 )
+from helpers import reference_fingerprints
+from helpers.reference_fingerprints import reference_ecfp
+
+DATA_DIR = Path(__file__).parent / "data"
 
 
 @st.composite
@@ -76,6 +87,99 @@ def test_popcount_bounded_by_identifier_count(mol):
     assert 1 <= fp.bits.bit_count() <= mol.n_atoms * 3
 
 
+def _disjoint_union(*parts: MolGraph) -> MolGraph:
+    atoms, bonds, offset = [], {}, 0
+    for part in parts:
+        atoms.extend(part.atoms)
+        bonds.update({(offset + i, offset + j): order for (i, j), order in part.bonds.items()})
+        offset += part.n_atoms
+    return MolGraph(atoms, bonds)
+
+
+def _oracle_molecules() -> list[MolGraph | None]:
+    """The split corpus, the golden extensions and hand-picked edge cases."""
+    with open(DATA_DIR / "split_corpus_500.csv", encoding="utf-8", newline="") as fh:
+        smiles = [row["smiles"] for row in csv.DictReader(fh)]
+    golden = json.loads((DATA_DIR / "extensions_golden.json").read_text(encoding="utf-8"))
+    smiles += [s for kind in sorted(golden) for s in golden[kind]]
+    # Single atoms, charged and bracket-H atoms.
+    smiles += ["C", "[NH4+]", "[O-]", "[Cl-]", "[S+2]", "[nH]1cccc1", "[NH3+]CC([O-])=O"]
+    mols: list[MolGraph | None] = [parse_smiles(s) for s in smiles]
+    ethanol, ammonium = parse_smiles("CCO"), parse_smiles("[NH4+]")
+    mols += [
+        _disjoint_union(ethanol, ammonium),
+        _disjoint_union(ammonium, ammonium, parse_smiles("c1ccccc1")),
+        MolGraph([Atom("C"), Atom("O"), Atom("N", charge=-1, explicit_h=2)], {}),
+        None,
+        None,
+    ]
+    return mols
+
+
+@pytest.mark.parametrize("radius", [0, 1, 2, 3])
+def test_batch_engine_equals_the_per_atom_loop(radius, monkeypatch):
+    monkeypatch.setattr(fingerprints, "_MEMO", weakref.WeakKeyDictionary())
+    mols = _oracle_molecules()
+    for nbits in (8 << k for k in range(10)):  # 8 to 4096
+        assert ecfps(mols, radius, nbits) == [reference_ecfp(m, radius, nbits) for m in mols]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.one_of(
+            st.none(), small_graphs(), st.builds(_disjoint_union, small_graphs(), small_graphs())
+        ),
+        max_size=6,
+    ),
+    st.integers(0, 3),
+    st.sampled_from([8, 64, 1024]),
+)
+def test_batch_engine_equals_the_per_atom_loop_on_random_graphs(mols, radius, nbits):
+    assert ecfps(mols, radius, nbits) == [reference_ecfp(m, radius, nbits) for m in mols]
+
+
+def test_a_batch_gives_equal_graphs_one_fingerprint_object(monkeypatch):
+    monkeypatch.setattr(fingerprints, "_MEMO", weakref.WeakKeyDictionary())
+    smiles = "CC(=O)Oc1ccccc1C(=O)O"
+    first, second, other = parse_smiles(smiles), parse_smiles(smiles), parse_smiles("CCO")
+    fps = ecfps([first, other, first, None, second], 2, 1024)
+    assert fps[0] is fps[2] is fps[4]
+    assert fps[1] is not fps[0]
+    assert fps[3].bits == 0
+    assert ecfp(second) is fps[0]
+    assert ecfps([], 2, 1024) == []
+
+
+def _counting_hashlib(monkeypatch, module) -> list[bytes]:
+    """Record every payload that ``module`` hands to blake2b."""
+    payloads: list[bytes] = []
+
+    def blake2b(data, **kwargs):
+        payloads.append(bytes(data))
+        return hashlib.blake2b(data, **kwargs)
+
+    monkeypatch.setattr(module, "hashlib", SimpleNamespace(blake2b=blake2b))
+    return payloads
+
+
+def test_one_blake2b_call_per_distinct_environment(monkeypatch):
+    monkeypatch.setattr(fingerprints, "_MEMO", weakref.WeakKeyDictionary())
+    mols = [m for m in _oracle_molecules() if m is not None]
+    batch = mols + [parse_smiles("c1ccccc1"), mols[0], mols[5]]
+    environments = _counting_hashlib(monkeypatch, reference_fingerprints)
+    for mol in mols:
+        reference_ecfp(mol, 3, 1024)
+    calls = _counting_hashlib(monkeypatch, fingerprints)
+    ecfps(batch, 3, 1024)
+    assert len(calls) == len(set(calls)) == len(set(environments))
+    # Memo hits compute nothing.
+    calls.clear()
+    ecfps(batch, 3, 1024)
+    ecfp(mols[3], 3, 1024)
+    assert calls == []
+
+
 # Frozen behavior on fixed inputs; any change here means the bit layout moved
 # and every on-disk cache is invalid.
 PINNED_HEX = [
@@ -113,7 +217,7 @@ def test_equal_graphs_share_one_memoized_fingerprint():
     assert first is not second and first == second
     fp = ecfp(first, radius=2, nbits=1024)
     assert ecfp(second, radius=2, nbits=1024) is fp
-    assert fp == fingerprints._compute_ecfp(second, 2, 1024)
+    assert fp == reference_ecfp(second, 2, 1024)
     # Other settings are separate entries of the same graph.
     assert ecfp(second, radius=1, nbits=1024) is not fp
     assert ecfp(second, radius=2, nbits=512).nbits == 512

@@ -52,7 +52,6 @@ def _labeled(actives, inactives) -> LabeledSet:
     smiles = list(actives) + list(inactives)
     labels = np.array([1] * len(actives) + [0] * len(inactives), dtype=np.int64)
     return LabeledSet(
-        ids=tuple(f"x{i}" for i in range(len(smiles))),
         molecules=tuple(parse_smiles(s) for s in smiles),
         labels=labels,
     )
@@ -315,8 +314,7 @@ def test_returned_model_attains_the_best_validation_score():
     model, history = self_train(TRAIN, (), VALIDATION, config)
     logits = predict(model, VALIDATION.molecules)
     ranked = RankedList.from_records(
-        (rid, float(z), int(y))
-        for rid, z, y in zip(VALIDATION.ids, logits, VALIDATION.labels)
+        (f"x{i}", float(z), int(y)) for i, (z, y) in enumerate(zip(logits, VALIDATION.labels))
     )
     assert bedroc(ranked) == max(record.val_bedroc for record in history)
 
@@ -334,7 +332,7 @@ def test_validation_ranking_ties_like_ranked_list(logits):
     validation = _labeled(["c1ccccc1", "c1ccncc1", "Cc1ccccc1"], ["CCO", "CCN", "CCC"])
     logits = np.array(logits)
     by_records = RankedList.from_records(
-        (rid, float(z), int(y)) for rid, z, y in zip(validation.ids, logits, validation.labels)
+        (f"x{i}", float(z), int(y)) for i, (z, y) in enumerate(zip(logits, validation.labels))
     )
     assert _validation_bedrocs(validation.labels, logits[None]) == [bedroc(by_records)]
 
@@ -347,7 +345,6 @@ def deck_cell(benchmark_deck):
 
     def labeled(rows):
         return LabeledSet(
-            ids=tuple(benchmark_deck.ids[i] for i in rows),
             molecules=tuple(mols[i] for i in rows),
             labels=labels[list(rows)],
         )
@@ -538,13 +535,11 @@ def test_config_validation():
 
 def test_labeled_set_validation():
     mols = (parse_smiles("CCO"),)
-    with pytest.raises(ValueError):
-        LabeledSet(ids=("a", "b"), molecules=mols, labels=np.array([0]))
-    with pytest.raises(ValueError):
-        LabeledSet(ids=("a",), molecules=mols, labels=np.array([2]))
-    half = _labeled(["c1ccccc1"], ["CCO"])
-    assert half.active_fraction == 0.5
-    assert LabeledSet(ids=(), molecules=(), labels=np.zeros(0)).active_fraction == 0.0
+    with pytest.raises(ValueError, match="align"):
+        LabeledSet(molecules=mols, labels=np.array([0, 1]))
+    with pytest.raises(ValueError, match="binary"):
+        LabeledSet(molecules=mols, labels=np.array([2]))
+    assert LabeledSet(molecules=(), labels=np.zeros(0)).size == 0
 
 
 # --- persistence --------------------------------------------------------
