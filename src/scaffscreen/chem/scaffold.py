@@ -14,10 +14,9 @@ substituents, double-bonded ones included, count as side chains.
 molecule lives: results are memoized by graph value under a weak key, so
 an equal molecule parsed again gets the same scaffold object and an entry
 goes when its molecule does. The facts keyed by the scaffold graph then
-live exactly as long: its ``fingerprints.ecfps`` memo entry and its
-``pipeline.splits.scaffold_key`` string. A stored scaffold is always a new
-graph, never the molecule itself, even when every atom survives, so no
-entry keeps its own key alive.
+live exactly as long, such as its ``fingerprints.ecfps`` memo entry. A
+stored scaffold is always a new graph, never the molecule itself, even when
+every atom survives, so no entry keeps its own key alive.
 """
 
 from __future__ import annotations

@@ -6,11 +6,12 @@ training and evaluation artifacts, pooled reports, and a manifest hashing
 every file. Nothing in the tree depends on wall-clock time, so rerunning
 the same configuration reproduces the directory byte for byte.
 
-``report/`` has one writer, fed from what the cells wrote: each cell's
-scores rows and the sweep read back from its rerank.csv. ``run_experiment``
-hands it the rows it has just written and ``rebuild_report`` reads them
-back, both in split and seed index order, so a rebuild of an untouched run
-rewrites every file byte for byte.
+Every metrics.json, ``report/`` and manifest.json come from one report
+pass that reads only the run directory: each split's generation note and
+pool and each cell's scores.csv and rerank.csv, in split and seed index
+order. ``run_experiment`` makes it once after the last cell, with the assay
+and config text it holds, and ``rebuild_report`` makes the same call, so a
+rebuild rewrites every file byte for byte and needs no earlier report.
 
 Layout::
 
@@ -50,7 +51,7 @@ from ..diffusion import (
     compute_marginals,
     generate_scaffold_extensions,
 )
-from ..fingerprints import Fingerprint, ecfps, fingerprint_matrix
+from ..fingerprints import ecfps, fingerprint_matrix
 from ..metrics import (
     DegenerateLabels,
     RankedList,
@@ -62,10 +63,9 @@ from ..metrics import (
     write_metric_report,
 )
 from ..rerank import (
-    EmptyCandidates,
     LambdaReport,
     build_candidates,
-    candidate_fingerprint,
+    candidate_fingerprints,
     lambda_sweep,
     read_sweep_csv,
     write_sweep_csv,
@@ -77,6 +77,7 @@ from ..sampling import (
     cluster_scaffolds,
     sample_library,
     sampling_weights,
+    single_cluster,
     write_library_csv,
 )
 from ..selftrain import (
@@ -103,6 +104,7 @@ __all__ = [
     "rebuild_report",
     "rerank_cell",
     "run_experiment",
+    "stage_seeds",
     "train_cells",
     "write_augmentation",
     "write_scores_csv",
@@ -130,7 +132,6 @@ def derive_seed(root: int, *parts: int | str) -> int:
 class AugmentProducts:
     """Everything one split's augmentation stage hands to training."""
 
-    pool_ids: list[str]
     pool: list[MolGraph]
     entries: list[GeneratedEntry]
     report: GenerationReport | None
@@ -182,7 +183,6 @@ def augment_split(
 
     if not scaffolds:
         return AugmentProducts(
-            pool_ids=[],
             pool=[],
             entries=[],
             report=None,
@@ -195,15 +195,13 @@ def augment_split(
         )
 
     fps = ecfps(scaffolds, config.radius, config.nbits)
-    if len(scaffolds) >= 3:
-        k_hi = min(config.k_max, len(scaffolds) - 1)
-        k_range = range(config.k_min, k_hi + 1) if k_hi >= config.k_min else None
-        if k_range is None:
-            model = _single_cluster(fps)
-        else:
-            model = cluster_scaffolds(fps, k_range=k_range, seed=derive_seed(seed, "kmeans"))
+    # k_min is at least 2, so k-means runs on three scaffolds or more.
+    k_hi = min(config.k_max, len(scaffolds) - 1)
+    if k_hi >= config.k_min:
+        k_range = range(config.k_min, k_hi + 1)
+        model = cluster_scaffolds(fps, k_range=k_range, seed=derive_seed(seed, "kmeans"))
     else:
-        model = _single_cluster(fps)
+        model = single_cluster(fingerprint_matrix(fps))
 
     if config.sampling == "balanced":
         weights = sampling_weights(model)
@@ -233,14 +231,12 @@ def augment_split(
         if close is not None:
             close()
 
-    pool_ids = [f"gen{idx:04d}" for idx, e in enumerate(entries) if e.valid]
     pool = [e.molecule for e in entries if e.valid]
     valid_counts = [0] * model.k
     for entry in entries:
         if entry.valid:
             valid_counts[entry.cluster_id] += 1
     return AugmentProducts(
-        pool_ids=pool_ids,
         pool=pool,
         entries=entries,
         report=report,
@@ -249,17 +245,6 @@ def augment_split(
         library_counts=[int(c) for c in library.cluster_counts(model.k)],
         valid_counts=valid_counts,
         excluded_acyclic=excluded,
-    )
-
-
-def _single_cluster(fps) -> ClusterModel:
-    points = fingerprint_matrix(fps)
-    return ClusterModel(
-        k=1,
-        centroids=points[:1].copy(),
-        assignments=np.zeros(len(fps), dtype=np.int64),
-        silhouette_score=float("nan"),
-        degenerate=True,
     )
 
 
@@ -361,9 +346,7 @@ def _write_generation_report(path: Path, products: AugmentProducts) -> None:
         "excluded_acyclic_actives": products.excluded_acyclic,
         "note": products.note,
     }
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(path, payload)
 
 
 def write_scores_csv(path: Path, rows: Sequence[tuple[str, str, float, int]]) -> None:
@@ -402,6 +385,25 @@ def cell_metrics(
     return values
 
 
+def _rerank_skip(ranked: RankedList, config: RunConfig) -> str | None:
+    """Why a cell's rerank is skipped, or None when it runs.
+
+    The rule reads only the cell's scores and labels: no positive score,
+    fewer than ``top_k`` candidates kept under ``candidate_cap``, or no
+    active in the baseline.
+    """
+    kept = min(int((ranked.scores > 0.0).sum()), config.candidate_cap)
+    if kept == 0:
+        reason = "no positive scores"
+    elif kept < config.top_k:
+        reason = f"only {kept} candidates for k={config.top_k}"
+    elif ranked.n_actives == 0:
+        reason = "enrichment needs at least one active in the baseline"
+    else:
+        return None
+    return f"{reason}, rerank skipped"
+
+
 def rerank_cell(
     path: Path,
     ranked: RankedList,
@@ -411,27 +413,22 @@ def rerank_cell(
     """Write one cell's rerank sweep to ``path``.
 
     Returns the sweep, or None with the reason the rerank was skipped, in
-    which case the file holds only the header. Only the kept candidates are
-    fingerprinted, and none when the cell skips.
+    which case the file holds only the header. The kept candidates are
+    fingerprinted in one batch, and none when the cell skips.
     """
-
-    def fingerprint_of(record_id: str) -> Fingerprint:
-        return candidate_fingerprint(
-            mols_by_id[record_id], radius=config.radius, nbits=config.nbits
-        )
-
-    try:
-        candidates = build_candidates(
-            ranked.ids,
-            [float(s) for s in ranked.scores],
-            fingerprint_of,
-            cap=config.candidate_cap,
-            min_size=config.top_k,
-        )
-        sweep = lambda_sweep(ranked, candidates, config.lambda_grid, k=config.top_k)
-    except (EmptyCandidates, DegenerateLabels) as exc:
+    note = _rerank_skip(ranked, config)
+    if note is not None:
         write_sweep_csv(path, [], config.top_k)
-        return None, f"{exc}, rerank skipped"
+        return None, note
+    candidates = build_candidates(
+        ranked.ids,
+        [float(s) for s in ranked.scores],
+        lambda kept: candidate_fingerprints(
+            [mols_by_id[i] for i in kept], config.radius, config.nbits
+        ),
+        cap=config.candidate_cap,
+    )
+    sweep = lambda_sweep(ranked, candidates, config.lambda_grid, k=config.top_k)
     write_sweep_csv(path, sweep, config.top_k)
     return sweep, None
 
@@ -446,115 +443,126 @@ def _check_folds(plan: SplitPlan, by_id: dict[str, AssayRecord]) -> None:
                 )
 
 
-class _Report:
-    """The inputs of ``report/``, collected from what each cell wrote.
+def stage_seeds(config: RunConfig, n_splits: int) -> dict[str, object]:
+    """The root seed and, per split, its augment seed and its cells' train seeds."""
+    return {
+        "root": config.seed,
+        "augment": {
+            str(i): derive_seed(config.seed, "augment", i)
+            for i in range(n_splits)
+            if config.augment_enabled
+        },
+        "train": {
+            str(i): [derive_seed(config.seed, "train", i, j) for j in range(config.eval_seeds)]
+            for i in range(n_splits)
+        },
+    }
 
-    ``run_experiment`` and ``rebuild_report`` feed it the same way, split by
-    split and cell by cell in index order. Each cell's metrics are computed
-    here (and its metrics.json written) from its scores rows, and its sweep
-    is read back from its rerank.csv, so both callers write the same bytes.
-    Notes keep their order: per split the augment note, then per cell the
-    metric notes and the rerank-skip note, then the pooled notes.
+
+def _write_report(
+    run_dir: Path, config: RunConfig, config_text: str, assay: Assay, n_splits: int
+) -> None:
+    """Write every metrics.json, ``report/`` and manifest.json of a run.
+
+    Reads each split's generation note and pool and each cell's scores.csv
+    and rerank.csv, in split and seed index order, and no earlier output of
+    its own; a skipped rerank's note comes from the rule ``rerank_cell``
+    applies. Notes keep their order: per split the augment note, then per
+    cell the metric notes and the rerank-skip note, then the pooled notes.
     """
-
-    def __init__(self, config: RunConfig, assay: Assay, notes: Sequence[str] = ()):
-        self.config = config
-        self.assay = assay
-        self.by_id = {r.record_id: r for r in assay.records}
-        self.notes = list(notes)
-        self.cell_rows: list[tuple[int, int, dict[str, float]]] = []
-        self.sweeps: list[list[LambdaReport]] = []
-        self.pooled_rows: dict[int, list] = {j: [] for j in range(config.eval_seeds)}
-        self.generated: list[tuple[str, MolGraph]] = []
-
-    def add_split(self, i: int, pool_ids, pool, note: str | None = None) -> None:
-        if note:
-            self.notes.append(f"split{i}: {note}")
-        self.generated.extend((f"s{i}_{pid}", mol) for pid, mol in zip(pool_ids, pool))
-
-    def add_cell(self, i: int, j: int, cell_dir: Path, rows, note: str | None = None) -> None:
-        where = f"split{i}/seed{j}"
-        ranked = RankedList.from_records((r, s, y) for r, _, s, y in rows)
-        mols_by_id = {r: self.by_id[r].mol for r, _, _, _ in rows}
-        values = cell_metrics(ranked, mols_by_id, self.config, self.notes, where)
-        write_metric_report(cell_dir / "metrics.json", values)
-        self.cell_rows.append((i, j, values))
-        if note:
-            self.notes.append(f"{where}: {note}")
-        sweep = read_sweep_csv(cell_dir / "rerank.csv", self.config.top_k)
-        if sweep:
-            self.sweeps.append(sweep)
-        self.pooled_rows[j].extend((r, s, y) for r, _, s, y in rows)
-
-    def write(self, report_dir: Path) -> None:
-        config, k = self.config, self.config.top_k
-        metric_names = ["logauc", "bedroc", f"ef{k}", f"dcg{k}", f"sd{k}"]
-        with open(report_dir / "aggregate.csv", "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["split", "seed"] + metric_names)
-            for i, j, values in self.cell_rows:
-                cells = [f"{values[name]:.6f}" if name in values else "" for name in metric_names]
-                writer.writerow([i, j] + cells)
-            for stat, func in (("mean", np.mean), ("std", np.std)):
-                row = [stat, ""]
-                for name in metric_names:
-                    present = [v[name] for _, _, v in self.cell_rows if name in v]
-                    row.append(f"{func(present):.6f}" if present else "")
-                writer.writerow(row)
-
-        pooled_payload: dict[str, object] = {"per_seed": []}
-        pooled_values: dict[str, list[float]] = {name: [] for name in metric_names}
-        for j, rows in self.pooled_rows.items():
+    k = config.top_k
+    mol_of = {r.record_id: r.mol for r in assay.records}
+    notes: list[str] = []
+    cell_rows: list[tuple[int, int, dict[str, float]]] = []
+    sweeps: list[list[LambdaReport]] = []
+    pooled_rows: list[list[tuple[str, float, int]]] = [[] for _ in range(config.eval_seeds)]
+    generated: list[tuple[str, MolGraph]] = []
+    for i in range(n_splits):
+        split_dir = run_dir / "splits" / f"split{i}"
+        if config.augment_enabled:
+            report = json.loads((split_dir / "generation_report.json").read_text(encoding="utf-8"))
+            if report["note"]:
+                notes.append(f"split{i}: {report['note']}")
+            pool_ids, pool = read_generated_pool(split_dir / "generated.csv")
+            generated.extend((f"s{i}_{pid}", mol) for pid, mol in zip(pool_ids, pool))
+        for j in range(config.eval_seeds):
+            cell_dir, where = split_dir / f"seed{j}", f"split{i}/seed{j}"
+            rows = [(r, s, y) for r, _, s, y in read_scores_csv(cell_dir / "scores.csv")]
             ranked = RankedList.from_records(rows)
-            mols = {rid: self.by_id[rid].mol for rid, _, _ in rows}
-            values = cell_metrics(ranked, mols, config, self.notes, f"pooled/seed{j}")
-            pooled_payload["per_seed"].append(
-                {"seed": j, **{name: round(values[name], 6) for name in values}}
-            )
-            for name, value in values.items():
-                pooled_values[name].append(value)
+            values = cell_metrics(ranked, {r: mol_of[r] for r, _, _ in rows}, config, notes, where)
+            write_metric_report(cell_dir / "metrics.json", values)
+            cell_rows.append((i, j, values))
+            skip = _rerank_skip(ranked, config)
+            if skip:
+                notes.append(f"{where}: {skip}")
+            sweep = read_sweep_csv(cell_dir / "rerank.csv", k)
+            if sweep:
+                sweeps.append(sweep)
+            pooled_rows[j].extend(rows)
+
+    report_dir = run_dir / "report"
+    report_dir.mkdir(exist_ok=True)
+    metric_names = ["logauc", "bedroc", f"ef{k}", f"dcg{k}", f"sd{k}"]
+    with open(report_dir / "aggregate.csv", "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["split", "seed"] + metric_names)
+        for i, j, values in cell_rows:
+            cells = [f"{values[name]:.6f}" if name in values else "" for name in metric_names]
+            writer.writerow([i, j] + cells)
         for stat, func in (("mean", np.mean), ("std", np.std)):
-            pooled_payload[stat] = {
-                name: round(float(func(vals)), 6) for name, vals in pooled_values.items() if vals
-            }
-        with open(report_dir / "pooled_metrics.json", "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(pooled_payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            row = [stat, ""]
+            for name in metric_names:
+                present = [v[name] for _, _, v in cell_rows if name in v]
+                row.append(f"{func(present):.6f}" if present else "")
+            writer.writerow(row)
 
-        figures = ("ef_before", "ef_after", "sd_before", "sd_after")
-        means = [
-            LambdaReport(
-                lam,
-                *(float(np.mean([getattr(s[idx], f) for s in self.sweeps])) for f in figures),
-            )
-            for idx, lam in enumerate(config.lambda_grid if self.sweeps else ())
-        ]
-        write_sweep_csv(report_dir / "lambda_sweep.csv", means, k)
+    pooled_payload: dict[str, object] = {"per_seed": []}
+    pooled_values: dict[str, list[float]] = {name: [] for name in metric_names}
+    for j, rows in enumerate(pooled_rows):
+        ranked = RankedList.from_records(rows)
+        mols = {rid: mol_of[rid] for rid, _, _ in rows}
+        values = cell_metrics(ranked, mols, config, notes, f"pooled/seed{j}")
+        pooled_payload["per_seed"].append(
+            {"seed": j, **{name: round(values[name], 6) for name in values}}
+        )
+        for name, value in values.items():
+            pooled_values[name].append(value)
+    for stat, func in (("mean", np.mean), ("std", np.std)):
+        pooled_payload[stat] = {
+            name: round(float(func(vals)), 6) for name, vals in pooled_values.items() if vals
+        }
+    _write_json(report_dir / "pooled_metrics.json", pooled_payload)
 
-        with open(report_dir / "umap_input.csv", "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["id", "origin", "label", "fp_hex"])
-            records = self.assay.records
-            fps = ecfps(
-                [r.mol for r in records] + [mol for _, mol in self.generated],
-                config.radius,
-                config.nbits,
-            )
-            for record, fp in zip(records, fps):
-                writer.writerow([record.record_id, "assay", record.label, fp.to_hex()])
-            for (gen_id, _), fp in zip(self.generated, fps[len(records) :]):
-                writer.writerow([gen_id, "generated", "", fp.to_hex()])
+    figures = ("ef_before", "ef_after", "sd_before", "sd_after")
+    means = [
+        LambdaReport(
+            lam, *(float(np.mean([getattr(s[idx], f) for s in sweeps])) for f in figures)
+        )
+        for idx, lam in enumerate(config.lambda_grid if sweeps else ())
+    ]
+    write_sweep_csv(report_dir / "lambda_sweep.csv", means, k)
 
-        with open(report_dir / "notes.json", "w", encoding="utf-8", newline="\n") as fh:
-            json.dump({"notes": list(dict.fromkeys(self.notes))}, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+    with open(report_dir / "umap_input.csv", "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["id", "origin", "label", "fp_hex"])
+        records = assay.records
+        fps = ecfps(
+            [r.mol for r in records] + [mol for _, mol in generated], config.radius, config.nbits
+        )
+        for record, fp in zip(records, fps):
+            writer.writerow([record.record_id, "assay", record.label, fp.to_hex()])
+        for (gen_id, _), fp in zip(generated, fps[len(records) :]):
+            writer.writerow([gen_id, "generated", "", fp.to_hex()])
+
+    _write_json(report_dir / "notes.json", {"notes": list(dict.fromkeys(notes))})
+
+    _write_manifest(run_dir, config, config_text, assay, stage_seeds(config, n_splits))
 
 
 def run_experiment(config: RunConfig, run_dir: str | Path | None = None) -> Path:
     """Execute the full pipeline under ``config``; returns the run directory."""
     run_dir = Path(run_dir if run_dir is not None else config.output_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
-    (run_dir / "report").mkdir(exist_ok=True)
 
     config_text = dump_config(config)
     (run_dir / "config.ini").write_text(config_text, encoding="utf-8")
@@ -565,10 +573,7 @@ def run_experiment(config: RunConfig, run_dir: str | Path | None = None) -> Path
     # Every split trains, so check them all before the first one writes.
     _check_folds(plan, by_id)
     plan.to_json(run_dir / "splits.json")
-
-    augment_seeds: dict[str, int] = {}
-    train_seeds: dict[str, list[int]] = {}
-    report = _Report(config, assay)
+    seeds = stage_seeds(config, len(plan.splits))
 
     for i, split in enumerate(plan.splits):
         split_dir = run_dir / "splits" / f"split{i}"
@@ -577,20 +582,16 @@ def run_experiment(config: RunConfig, run_dir: str | Path | None = None) -> Path
         test_records = [by_id[rid] for rid in split.test_ids]
         mols_by_id = {r.record_id: r.mol for r in test_records}
 
-        pool_ids: list[str] = []
         pool: list[MolGraph] = []
         if config.augment_enabled:
-            aug_seed = derive_seed(config.seed, "augment", i)
-            augment_seeds[str(i)] = aug_seed
-            products = write_augmentation(split_dir, train_records, config, aug_seed)
-            pool_ids, pool = products.pool_ids, products.pool
-            report.add_split(i, pool_ids, pool, products.note)
+            aug_seed = seeds["augment"][str(i)]
+            pool = write_augmentation(split_dir, train_records, config, aug_seed).pool
 
-        cell_seeds = [derive_seed(config.seed, "train", i, j) for j in range(config.eval_seeds)]
-        train_seeds[str(i)] = cell_seeds
         cell_dirs = [split_dir / f"seed{j}" for j in range(config.eval_seeds)]
-        cells = train_cells(cell_dirs, train_records, valid_records, pool, config, cell_seeds)
-        for j, (cell_dir, (model, _)) in enumerate(zip(cell_dirs, cells)):
+        cells = train_cells(
+            cell_dirs, train_records, valid_records, pool, config, seeds["train"][str(i)]
+        )
+        for cell_dir, (model, _) in zip(cell_dirs, cells):
             test_scores = predict(model, [r.mol for r in test_records])
             rows = [
                 (r.record_id, r.smiles, float(s), r.label)
@@ -598,13 +599,9 @@ def run_experiment(config: RunConfig, run_dir: str | Path | None = None) -> Path
             ]
             write_scores_csv(cell_dir / "scores.csv", rows)
             ranked = RankedList.from_records((r, s, y) for r, _, s, y in rows)
-            _, note = rerank_cell(cell_dir / "rerank.csv", ranked, mols_by_id, config)
-            report.add_cell(i, j, cell_dir, rows, note)
+            rerank_cell(cell_dir / "rerank.csv", ranked, mols_by_id, config)
 
-    report.write(run_dir / "report")
-    seeds_used = {"root": config.seed, "augment": augment_seeds, "train": train_seeds}
-    assay_hash = hashlib.sha256(Path(config.assay).read_bytes()).hexdigest()
-    _write_manifest(run_dir, config_text, assay, seeds_used, assay_hash)
+    _write_report(run_dir, config, config_text, assay, len(plan.splits))
     return run_dir
 
 
@@ -621,51 +618,23 @@ def read_scores_csv(path: Path) -> list[tuple[str, str, float, int]]:
 
 
 def rebuild_report(run_dir: str | Path) -> Path:
-    """Regenerate the report tables of an existing run from its artifacts.
+    """Rewrite every metrics.json, ``report/`` and manifest.json of a run.
 
-    Re-reads each cell's scores and rerank files in the run's split and seed
-    order and builds the report through the run's own collector, so a
-    rebuild of an untouched run rewrites every file byte for byte; no model
-    is retrained. The manifest is rewritten afterwards so the hashes stay in
-    step (seeds are carried over from the previous manifest when present).
+    Makes the run's own report pass over its config, assay and cell files
+    and reads no earlier output, so an untouched run, or one whose report/
+    and manifest.json are gone, comes back byte for byte. No model is
+    retrained.
     """
     run_dir = Path(run_dir)
     config = load_config(run_dir / "config.ini")
     config_text = (run_dir / "config.ini").read_text(encoding="utf-8")
-    assay = ingest(config.assay)
-
-    # Keep run-time notes (for example rerank-skip reasons) that cannot be
-    # reconstructed from the surviving artifacts.
-    notes: list[str] = []
-    notes_path = run_dir / "report" / "notes.json"
-    if notes_path.exists():
-        notes = json.loads(notes_path.read_text(encoding="utf-8")).get("notes", [])
-    report = _Report(config, assay, notes)
-    for i in range(len(SplitPlan.from_json(run_dir / "splits.json").splits)):
-        split_dir = run_dir / "splits" / f"split{i}"
-        if config.augment_enabled:
-            report.add_split(i, *read_generated_pool(split_dir / "generated.csv"))
-        for j in range(config.eval_seeds):
-            cell_dir = split_dir / f"seed{j}"
-            report.add_cell(i, j, cell_dir, read_scores_csv(cell_dir / "scores.csv"))
-    report.write(run_dir / "report")
-
-    seeds_used: dict[str, object] = {"root": config.seed}
-    manifest_path = run_dir / "manifest.json"
-    if manifest_path.exists():
-        previous = json.loads(manifest_path.read_text(encoding="utf-8"))
-        seeds_used = previous.get("seeds", seeds_used)
-    assay_hash = hashlib.sha256(Path(config.assay).read_bytes()).hexdigest()
-    _write_manifest(run_dir, config_text, assay, seeds_used, assay_hash)
+    n_splits = len(SplitPlan.from_json(run_dir / "splits.json").splits)
+    _write_report(run_dir, config, config_text, ingest(config.assay), n_splits)
     return run_dir
 
 
 def _write_manifest(
-    run_dir: Path,
-    config_text: str,
-    assay: Assay,
-    seeds_used: dict[str, object],
-    assay_sha256: str,
+    run_dir: Path, config: RunConfig, config_text: str, assay: Assay, seeds: dict[str, object]
 ) -> None:
     from .. import __version__
 
@@ -678,7 +647,7 @@ def _write_manifest(
         ).hexdigest()
     manifest = {
         "config_sha256": hashlib.sha256(config_text.encode("utf-8")).hexdigest(),
-        "assay_sha256": assay_sha256,
+        "assay_sha256": hashlib.sha256(Path(config.assay).read_bytes()).hexdigest(),
         "deck": {
             "n_records": assay.size,
             "n_actives": assay.n_actives,
@@ -688,8 +657,12 @@ def _write_manifest(
         "package": __version__,
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "seeds": seeds_used,
+        "seeds": seeds,
     }
-    with open(run_dir / "manifest.json", "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(run_dir / "manifest.json", manifest)
+
+
+def _write_json(path: Path, payload: dict) -> None:
+    """Indented, key-sorted JSON with a final newline."""
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    path.write_text(text, encoding="utf-8", newline="\n")

@@ -16,8 +16,8 @@ folds, which is verified after assignment.
 from __future__ import annotations
 
 import json
-import weakref
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -92,24 +92,28 @@ class SplitPlan:
         )
 
 
-# Per live scaffold graph, its serialized key.
-_KEYS: "weakref.WeakKeyDictionary[MolGraph, str]" = weakref.WeakKeyDictionary()
-
-
 def scaffold_key(record: AssayRecord) -> str:
     """Scaffold identity string; empty for acyclic molecules.
 
     Identity is string-level over this package's deterministic serializer;
-    no graph canonicalization is attempted. The string is kept per live
-    scaffold graph, which lives as long as its molecule.
+    no graph canonicalization is attempted.
     """
-    scaffold = murcko_scaffold(record.mol)
-    if scaffold is None:
-        return ""
-    key = _KEYS.get(scaffold)
-    if key is None:
-        key = _KEYS[scaffold] = to_smiles(scaffold)
-    return key
+    return _scaffold_keys([record])[record.record_id]
+
+
+def _scaffold_keys(records: Sequence[AssayRecord]) -> dict[str, str]:
+    """Each record's ``scaffold_key`` by id; equal scaffolds are serialized once."""
+    strings: dict[MolGraph, str] = {}
+    keys: dict[str, str] = {}
+    for record in records:
+        scaffold = murcko_scaffold(record.mol)
+        if scaffold is None:
+            keys[record.record_id] = ""
+        elif (key := strings.get(scaffold)) is not None:
+            keys[record.record_id] = key
+        else:
+            keys[record.record_id] = strings[scaffold] = to_smiles(scaffold)
+    return keys
 
 
 def _random_splits(assay: Assay, seed: int) -> tuple[Split, ...]:
@@ -135,10 +139,10 @@ def _random_splits(assay: Assay, seed: int) -> tuple[Split, ...]:
     return tuple(splits)
 
 
-def _scaffold_split(assay: Assay, seed: int) -> Split:
+def _scaffold_split(assay: Assay, seed: int, keys: dict[str, str]) -> Split:
     bins: dict[str, list[str]] = {}
     for record in assay.records:
-        bins.setdefault(scaffold_key(record), []).append(record.record_id)
+        bins.setdefault(keys[record.record_id], []).append(record.record_id)
 
     total = assay.size
     train: list[str] = []
@@ -185,9 +189,10 @@ def make_splits(assay: Assay, scheme: str = "random", n_splits: int = N_SPLITS, 
     if scheme == "random":
         splits = _random_splits(assay, seed)
     elif scheme == "scaffold":
-        splits = tuple(_scaffold_split(assay, seed + i) for i in range(n_splits))
-        for i, split in enumerate(splits):
-            assert_no_scaffold_leakage(assay, split)
+        keys = _scaffold_keys(assay.records)
+        splits = tuple(_scaffold_split(assay, seed + i, keys) for i in range(n_splits))
+        for split in splits:
+            _assert_no_leakage(split, keys)
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
 
@@ -207,15 +212,18 @@ def _assert_partition(assay: Assay, split: Split) -> None:
 
 def assert_no_scaffold_leakage(assay: Assay, split: Split) -> None:
     """Verify no scaffold string occurs in more than one fold."""
-    by_id = {r.record_id: r for r in assay.records}
-    fold_scaffolds: dict[str, set[str]] = {"train": set(), "valid": set(), "test": set()}
-    for name, ids in (
-        ("train", split.train_ids),
-        ("valid", split.valid_ids),
-        ("test", split.test_ids),
-    ):
-        for rid in ids:
-            fold_scaffolds[name].add(scaffold_key(by_id[rid]))
+    _assert_no_leakage(split, _scaffold_keys(assay.records))
+
+
+def _assert_no_leakage(split: Split, keys: dict[str, str]) -> None:
+    fold_scaffolds = {
+        name: {keys[rid] for rid in ids}
+        for name, ids in (
+            ("train", split.train_ids),
+            ("valid", split.valid_ids),
+            ("test", split.test_ids),
+        )
+    }
     overlap = (
         (fold_scaffolds["train"] & fold_scaffolds["valid"])
         | (fold_scaffolds["train"] & fold_scaffolds["test"])

@@ -31,7 +31,7 @@ import numpy as np
 
 from .chem.graph import MolGraph
 from .chem.scaffold import murcko_scaffold
-from .fingerprints import DEFAULT_NBITS, DEFAULT_RADIUS, Fingerprint, ecfp, tanimoto_matrix
+from .fingerprints import DEFAULT_NBITS, DEFAULT_RADIUS, Fingerprint, ecfps, tanimoto_matrix
 from .metrics import DegenerateLabels, RankedList, mean_upper_triangle
 
 __all__ = [
@@ -85,26 +85,31 @@ class RerankedSet:
     candidates: CandidateSet
 
 
+def candidate_fingerprints(
+    mols: Sequence[MolGraph], radius: int = DEFAULT_RADIUS, nbits: int = DEFAULT_NBITS
+) -> list[Fingerprint]:
+    """The fingerprints of ``mols``' Murcko scaffolds, in one batch."""
+    return ecfps([murcko_scaffold(mol) for mol in mols], radius, nbits)
+
+
 def candidate_fingerprint(
     mol: MolGraph, radius: int = DEFAULT_RADIUS, nbits: int = DEFAULT_NBITS
 ) -> Fingerprint:
     """The fingerprint of ``mol``'s Murcko scaffold."""
-    return ecfp(murcko_scaffold(mol), radius=radius, nbits=nbits)
+    return candidate_fingerprints([mol], radius, nbits)[0]
 
 
 def build_candidates(
     ids: Sequence[str],
     scores: Sequence[float],
-    fingerprints: Sequence[Fingerprint] | Callable[[str], Fingerprint],
+    fingerprints: Sequence[Fingerprint] | Callable[[Sequence[str]], Sequence[Fingerprint]],
     cap: int = DEFAULT_CANDIDATE_CAP,
-    min_size: int = 1,
 ) -> CandidateSet:
     """Filter to positive scores, sort descending (stable), truncate to ``cap``.
 
     ``fingerprints`` is either aligned with ``ids`` or a function from a
-    record id to its fingerprint. The function is called only for the kept
-    candidates, and only once at least ``min_size`` of them are kept;
-    fewer raise :class:`EmptyCandidates`.
+    list of record ids to their fingerprints, called once with the kept
+    candidates. No positive score raises :class:`EmptyCandidates`.
     """
     lazy = callable(fingerprints)
     if len(ids) != len(scores) or not (lazy or len(fingerprints) == len(ids)):
@@ -116,14 +121,11 @@ def build_candidates(
         raise EmptyCandidates("no positive scores")
     positive.sort(key=lambda k: -scores[k])
     positive = positive[:cap]
-    if len(positive) < min_size:
-        raise EmptyCandidates(f"only {len(positive)} candidates for k={min_size}")
+    kept = tuple(ids[k] for k in positive)
     return CandidateSet(
-        ids=tuple(ids[k] for k in positive),
+        ids=kept,
         scores=np.array([scores[k] for k in positive], dtype=np.float64),
-        fingerprints=tuple(
-            fingerprints(ids[k]) if lazy else fingerprints[k] for k in positive
-        ),
+        fingerprints=tuple(fingerprints(kept) if lazy else (fingerprints[k] for k in positive)),
     )
 
 

@@ -38,6 +38,7 @@ __all__ = [
     "sample_library",
     "sampling_weights",
     "silhouette",
+    "single_cluster",
     "write_library_csv",
 ]
 
@@ -51,8 +52,8 @@ WEIGHT_EPSILON = 1e-8
 class ClusterModel:
     """Fitted clustering over scaffold fingerprints.
 
-    ``degenerate`` marks the single-cluster fallback used when every
-    fingerprint is identical; its silhouette is NaN.
+    ``degenerate`` marks the single-cluster fallback (``single_cluster``);
+    its silhouette is NaN.
     """
 
     k: int
@@ -219,6 +220,21 @@ def silhouette(points: np.ndarray, assignments: np.ndarray) -> float:
     return float(scores.mean())
 
 
+def single_cluster(points: np.ndarray) -> ClusterModel:
+    """The flagged one-cluster model over the fingerprint rows ``points``.
+
+    The fallback when clustering means nothing: every fingerprint is
+    identical, or there are too few for the requested k range.
+    """
+    return ClusterModel(
+        k=1,
+        centroids=points[:1].copy(),
+        assignments=np.zeros(len(points), dtype=np.int64),
+        silhouette_score=float("nan"),
+        degenerate=True,
+    )
+
+
 def cluster_scaffolds(
     fps: Sequence[Fingerprint],
     k_range: Sequence[int] | None = None,
@@ -241,13 +257,7 @@ def cluster_scaffolds(
         raise ValueError(f"k_range must lie within [2, {m - 1}]")
 
     if (points == points[0]).all():
-        return ClusterModel(
-            k=1,
-            centroids=points[:1].copy(),
-            assignments=np.zeros(m, dtype=np.int64),
-            silhouette_score=float("nan"),
-            degenerate=True,
-        )
+        return single_cluster(points)
 
     distinct = _distinct_rows(points)
     root = np.random.SeedSequence(seed)

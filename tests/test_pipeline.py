@@ -615,7 +615,7 @@ def test_augmentation_without_ring_actives_degrades_gracefully():
         _record("d1", "c1ccccc1", 0),
     ]
     products = augment_split(records, RunConfig(timesteps=5), seed=3)
-    assert products.pool_ids == [] and products.pool == []
+    assert products.pool == []
     assert products.model is None and products.library is None
     assert products.report is None
     assert products.excluded_acyclic == 2
@@ -854,6 +854,64 @@ def test_a_rebuild_rejects_a_sweep_headed_for_another_depth(mini_run, tmp_path):
             rebuild_report(copy)
 
 
+@pytest.fixture(scope="module")
+def skipping_run(mini_config, tmp_path_factory) -> Path:
+    """The mini run at top_k = 20, where three of the five cells skip their rerank."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return run_experiment(
+            dataclasses.replace(mini_config, top_k=20), tmp_path_factory.mktemp("skip") / "run"
+        )
+
+
+def test_a_rebuild_reproduces_a_deleted_report_and_manifest(skipping_run, tmp_path):
+    notes = json.loads((skipping_run / "report" / "notes.json").read_text())["notes"]
+    skips = [note for note in notes if note.endswith("candidates for k=20, rerank skipped")]
+    assert len(skips) == 3
+    for empty_report in (False, True):
+        copy = tmp_path / f"copy{int(empty_report)}"
+        shutil.copytree(skipping_run, copy)
+        shutil.rmtree(copy / "report")
+        (copy / "manifest.json").unlink()
+        if empty_report:
+            (copy / "report").mkdir()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            rebuild_report(copy)
+        assert _tree(copy) == _tree(skipping_run)
+
+
+def test_cli_report_rebuilds_a_run_without_a_report(skipping_run, tmp_path):
+    copy = tmp_path / "copy"
+    shutil.copytree(skipping_run, copy)
+    shutil.rmtree(copy / "report")
+    (copy / "manifest.json").unlink()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert main(["report", "--run", str(copy)]) == 0
+    assert _tree(copy) == _tree(skipping_run)
+
+
+def test_the_report_notes_the_skip_rerank_cell_gives_a_cell_without_actives(
+    mini_run, mini_config, tmp_path
+):
+    copy = tmp_path / "copy"
+    shutil.copytree(mini_run, copy)
+    cell = copy / "splits" / "split0" / "seed0"
+    scored = runner.read_scores_csv(cell / "scores.csv")
+    rows = [(r, smi, 1.0 + n, 0) for n, (r, smi, _, _) in enumerate(scored)]
+    write_scores_csv(cell / "scores.csv", rows)
+    ranked = RankedList.from_records((r, s, y) for r, _, s, y in rows)
+    mols_by_id = {r: parse_smiles(smi) for r, smi, _, _ in rows}
+    _, note = rerank_cell(cell / "rerank.csv", ranked, mols_by_id, mini_config)
+    assert note == "enrichment needs at least one active in the baseline, rerank skipped"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        rebuild_report(copy)
+    notes = json.loads((copy / "report" / "notes.json").read_text())["notes"]
+    assert f"split0/seed0: {note}" in notes
+
+
 GOLDEN_FILES = Path(__file__).parent / "data" / "mini_run_files.json"
 
 
@@ -893,6 +951,7 @@ def test_a_fold_missing_a_class_fails_before_any_split_is_written(
         run_experiment(RunConfig(assay=str(benchmark_deck_csv), seed=9), run_dir)
     assert not (run_dir / "splits").exists()
     assert not (run_dir / "splits.json").exists()
+    assert not (run_dir / "report").exists()
 
 
 RERANK_SMILES = (
@@ -918,13 +977,13 @@ def _ranked(scores, labels) -> RankedList:
 
 def test_rerank_fingerprints_only_the_kept_candidates(monkeypatch, tmp_path):
     fingerprinted = []
-    original = runner.candidate_fingerprint
+    original = runner.candidate_fingerprints
 
-    def counting(mol, **kwargs):
-        fingerprinted.append(mol)
-        return original(mol, **kwargs)
+    def counting(mols, *args, **kwargs):
+        fingerprinted.extend(mols)
+        return original(mols, *args, **kwargs)
 
-    monkeypatch.setattr(runner, "candidate_fingerprint", counting)
+    monkeypatch.setattr(runner, "candidate_fingerprints", counting)
     config = RunConfig(top_k=5, candidate_cap=6, nbits=256, lambda_grid=(0.0, 1.0))
     labels = [n % 2 for n in range(12)]
     path = tmp_path / "rerank.csv"

@@ -138,22 +138,20 @@ def test_a_fingerprint_function_is_called_only_for_kept_candidates():
     fps = dict(zip(ids, (_fp({i}) for i in range(5))))
     asked = []
 
-    def fingerprint_of(record_id):
-        asked.append(record_id)
-        return fps[record_id]
+    def fingerprint_of(record_ids):
+        asked.append(tuple(record_ids))
+        return [fps[record_id] for record_id in record_ids]
 
     lazy = build_candidates(ids, scores, fingerprint_of, cap=3)
     eager = build_candidates(ids, scores, tuple(fps.values()), cap=3)
     assert lazy.ids == eager.ids == ("b", "d", "a")
     assert lazy.scores.tolist() == eager.scores.tolist()
     assert lazy.fingerprints == eager.fingerprints
-    assert asked == ["b", "d", "a"]
+    assert asked == [("b", "d", "a")]
 
     asked.clear()
-    with pytest.raises(EmptyCandidates, match="only 3 candidates for k=4"):
-        build_candidates(ids, scores, fingerprint_of, cap=3, min_size=4)
     with pytest.raises(EmptyCandidates, match="no positive scores"):
-        build_candidates(ids, (-1.0,) * 5, fingerprint_of, min_size=4)
+        build_candidates(ids, (-1.0,) * 5, fingerprint_of)
     assert asked == []
 
 
