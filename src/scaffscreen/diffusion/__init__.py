@@ -2,7 +2,6 @@
 
 from .denoisers import (
     Denoiser,
-    DenoiserOutput,
     ExternalDenoiser,
     MarginalDenoiser,
     OneHotEchoDenoiser,
@@ -28,7 +27,6 @@ from .schedule import CosineSchedule, mixing_matrix
 __all__ = [
     "CosineSchedule",
     "Denoiser",
-    "DenoiserOutput",
     "EDGE_CATEGORIES",
     "EDGE_NONE",
     "ExternalDenoiser",

@@ -1,26 +1,29 @@
 """Denoiser plug-ins for the reverse diffusion loop.
 
-A denoiser receives the noisy graph at step ``t`` and returns categorical
-probabilities over clean node and edge types. Two references ship here:
-``MarginalDenoiser`` predicts the dataset priors everywhere (no learned
-signal, useful as a floor and for exercising the machinery) and
-``OneHotEchoDenoiser`` returns certainty on whatever is currently present
-(turning the reverse step into an identity-preserving map, useful for
-tests). ``ExternalDenoiser`` bridges to any trained model over a
-line-delimited JSON protocol so heavyweight network code stays out of
-process.
+A denoiser receives a stack of noisy graphs at step ``t`` and returns
+categorical probabilities over clean node and edge types, one row per node
+and one per pair (see :class:`Denoiser`). ``MarginalDenoiser`` predicts the
+dataset priors everywhere (no learned signal, useful as a floor and for
+exercising the machinery) and ``OneHotEchoDenoiser`` returns certainty on
+whatever is currently present (turning the reverse step into an
+identity-preserving map, useful for tests). ``ExternalDenoiser`` bridges to
+any trained model over a line-delimited JSON protocol so heavyweight
+network code stays out of process.
 
-Wire protocol, one JSON object per line on stdin/stdout:
+Wire protocol, one JSON object per line on stdin/stdout, one graph each:
 
     request:  {"t": int, "nodes": [id, ...], "edges": [[i, j, id], ...]}
     response: {"node_probs": [[...], ...], "edge_probs": [[i, j, [...]], ...]}
 
-Requests list only edges that are present (category > 0); absent pairs are
-category 0. Responses may likewise omit pairs, which then default to a
-one-hot "no edge" row. Node probability rows must sum to one within 1e-9.
-Malformed traffic raises :class:`ProtocolError` with the offending line.
+Requests list only present edges (category > 0), i < j in row-major order.
+Responses may omit pairs, which then get a one-hot "no edge" row; an entry
+may name its pair in either order, the last entry for a pair wins, and one
+with i == j is checked, then ignored. Probabilities must be finite and
+non-negative, and each row must sum to one within 1e-5 + 1e-9 (the
+tolerance of ``np.allclose(sums, 1, atol=1e-9)``). Malformed traffic raises
+:class:`ProtocolError` with the offending line.
 
-Every chain of a generation call advances in lockstep, so consecutive
+``ExternalDenoiser`` walks the stack chain by chain, so consecutive
 requests interleave chains at each timestep: one request per chain at t,
 then one per chain at t - 1. Each request carries one whole graph and its
 t, so a child needs no memory of earlier requests.
@@ -28,18 +31,17 @@ t, so a child needs no memory of earlier requests.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import subprocess
 import threading
-from dataclasses import dataclass
 from typing import Protocol, Sequence
 
 import numpy as np
 
-from .marginals import Marginals, N_EDGE_CATEGORIES, EDGE_NONE
+from .marginals import EDGE_NONE, N_EDGE_CATEGORIES, Marginals, pair_position, upper_indices
 
 __all__ = [
-    "DenoiserOutput",
     "Denoiser",
     "ExternalDenoiser",
     "MarginalDenoiser",
@@ -47,28 +49,24 @@ __all__ = [
     "ProtocolError",
 ]
 
+CLOSE_TIMEOUT_S = 10.0  # seconds ``close`` waits for the child to exit before killing it
+Rows = tuple[np.ndarray, np.ndarray]  # a stack's node rows and pair rows
+
 
 class ProtocolError(RuntimeError):
     """Raised when an external denoiser violates the wire protocol."""
 
 
-@dataclass(frozen=True)
-class DenoiserOutput:
-    """Clean-category probabilities: nodes (n, a) and symmetric edges (n, n, b)."""
-
-    node_probs: np.ndarray
-    edge_probs: np.ndarray
-
-    def validate(self, n: int, n_atom_types: int) -> None:
-        if self.node_probs.shape != (n, n_atom_types):
-            raise ValueError(f"node_probs shape {self.node_probs.shape} mismatch")
-        if self.edge_probs.shape != (n, n, N_EDGE_CATEGORIES):
-            raise ValueError(f"edge_probs shape {self.edge_probs.shape} mismatch")
-
-
 class Denoiser(Protocol):
-    def denoise(self, t: int, nodes: np.ndarray, edges: np.ndarray) -> DenoiserOutput:
-        """Predict clean-category probabilities for the noisy graph at ``t``."""
+    def denoise(self, t: int, nodes: np.ndarray, pairs: np.ndarray, sizes: Sequence[int]) -> Rows:
+        """Clean-category rows for a stack of noisy graphs at ``t``.
+
+        Chain c has ``sizes[c]`` nodes. ``nodes`` holds every chain's node
+        categories, chain after chain, and ``pairs`` every chain's pair
+        categories, each chain's in ``upper_indices`` order. Returns one row
+        per node, shaped (len(nodes), n_atom_types), and one per pair,
+        shaped (len(pairs), 5), in the same order.
+        """
         ...
 
 
@@ -78,18 +76,13 @@ class MarginalDenoiser:
     def __init__(self, marginals: Marginals) -> None:
         self._node_prior = marginals.node_prior
         self._edge_prior = marginals.edge_prior
-        self._by_size: dict[int, DenoiserOutput] = {}
 
-    def denoise(self, t: int, nodes: np.ndarray, edges: np.ndarray) -> DenoiserOutput:
-        """Read-only broadcast views of the priors, made once per graph size."""
-        n = len(nodes)
-        output = self._by_size.get(n)
-        if output is None:
-            output = self._by_size[n] = DenoiserOutput(
-                node_probs=np.broadcast_to(self._node_prior, (n, len(self._node_prior))),
-                edge_probs=np.broadcast_to(self._edge_prior, (n, n, len(self._edge_prior))),
-            )
-        return output
+    def denoise(self, t: int, nodes: np.ndarray, pairs: np.ndarray, sizes: Sequence[int]) -> Rows:
+        """Read-only broadcast views of the priors."""
+        return (
+            np.broadcast_to(self._node_prior, (len(nodes), len(self._node_prior))),
+            np.broadcast_to(self._edge_prior, (len(pairs), len(self._edge_prior))),
+        )
 
 
 class OneHotEchoDenoiser:
@@ -98,22 +91,25 @@ class OneHotEchoDenoiser:
     def __init__(self, n_atom_types: int) -> None:
         self._n_atom_types = n_atom_types
 
-    def denoise(self, t: int, nodes: np.ndarray, edges: np.ndarray) -> DenoiserOutput:
-        n = len(nodes)
-        node_probs = np.zeros((n, self._n_atom_types))
-        node_probs[np.arange(n), nodes] = 1.0
-        edge_probs = np.zeros((n, n, N_EDGE_CATEGORIES))
-        flat = edge_probs.reshape(n * n, N_EDGE_CATEGORIES)
-        flat[np.arange(n * n), edges.reshape(-1)] = 1.0
-        return DenoiserOutput(node_probs=node_probs, edge_probs=edge_probs)
+    def denoise(self, t: int, nodes: np.ndarray, pairs: np.ndarray, sizes: Sequence[int]) -> Rows:
+        return np.eye(self._n_atom_types)[nodes], np.eye(N_EDGE_CATEGORIES)[pairs]
 
 
-def _request_line(t: int, nodes: np.ndarray, edges: np.ndarray) -> str:
-    """One request line: present edges of the upper triangle in row-major order."""
-    rows, cols = np.nonzero(np.triu(edges != EDGE_NONE, 1))
-    sparse_edges = np.stack([rows, cols, edges[rows, cols]], axis=1).tolist()
+def _request_line(t: int, nodes: np.ndarray, pairs: np.ndarray) -> str:
+    """One request line: a graph's present pairs, in ``upper_indices`` order."""
+    iu, ju = upper_indices(len(nodes))
+    present = np.flatnonzero(pairs != EDGE_NONE)
+    sparse_edges = np.stack([iu[present], ju[present], pairs[present]], axis=1).tolist()
     request = {"t": int(t), "nodes": [int(v) for v in nodes], "edges": sparse_edges}
     return json.dumps(request) + "\n"
+
+
+def _check_rows(rows: np.ndarray, kind: str, line: str) -> None:
+    sums = rows.sum(axis=1)
+    if not ((rows >= 0).all() and np.isfinite(sums).all()):
+        raise ProtocolError(f"{kind} probabilities negative or not finite: {line.strip()!r}")
+    if not (np.abs(sums - 1.0) <= 1e-5 + 1e-9).all():
+        raise ProtocolError(f"{kind} probability rows do not sum to 1: {line.strip()!r}")
 
 
 class ExternalDenoiser:
@@ -141,11 +137,19 @@ class ExternalDenoiser:
         return self._proc
 
     def close(self) -> None:
+        """Close the child's input and wait for it; kill it if it lingers."""
         with self._lock:
-            if self._proc is not None and self._proc.poll() is None:
-                self._proc.stdin.close()
-                self._proc.wait(timeout=10)
-            self._proc = None
+            proc, self._proc = self._proc, None
+            if proc is None:
+                return
+            with contextlib.suppress(BrokenPipeError):
+                proc.stdin.close()
+            try:
+                proc.wait(timeout=CLOSE_TIMEOUT_S)
+            except subprocess.TimeoutExpired:
+                proc.kill()
+                proc.wait()
+            proc.stdout.close()
 
     def __enter__(self) -> "ExternalDenoiser":
         return self
@@ -153,56 +157,64 @@ class ExternalDenoiser:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    def denoise(self, t: int, nodes: np.ndarray, edges: np.ndarray) -> DenoiserOutput:
-        n = len(nodes)
-        request = _request_line(t, nodes, edges)
-        with self._lock:
-            proc = self._ensure_started()
+    def denoise(self, t: int, nodes: np.ndarray, pairs: np.ndarray, sizes: Sequence[int]) -> Rows:
+        """One request per chain, in stack order."""
+        node_rows, pair_rows = [], []
+        node_stop = pair_stop = 0
+        for n in sizes:
+            node_start, node_stop = node_stop, node_stop + n
+            pair_start, pair_stop = pair_stop, pair_stop + n * (n - 1) // 2
+            request = _request_line(t, nodes[node_start:node_stop], pairs[pair_start:pair_stop])
+            with self._lock:
+                proc = self._ensure_started()
+                try:
+                    proc.stdin.write(request)
+                    proc.stdin.flush()
+                    line = proc.stdout.readline()
+                except (BrokenPipeError, OSError) as exc:
+                    raise ProtocolError(f"denoiser process pipe failed: {exc}") from exc
+            if not line:
+                raise ProtocolError("denoiser process closed its output stream")
             try:
-                proc.stdin.write(request)
-                proc.stdin.flush()
-                line = proc.stdout.readline()
-            except (BrokenPipeError, OSError) as exc:
-                raise ProtocolError(f"denoiser process pipe failed: {exc}") from exc
-        if not line:
-            raise ProtocolError("denoiser process closed its output stream")
-        try:
-            payload = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ProtocolError(f"invalid JSON from denoiser: {line.strip()!r}") from exc
-        return self._decode(payload, line, n)
+                payload = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ProtocolError(f"invalid JSON from denoiser: {line.strip()!r}") from exc
+            chain_nodes, chain_pairs = self._decode(payload, line, n)
+            node_rows.append(chain_nodes)
+            pair_rows.append(chain_pairs)
+        return np.concatenate(node_rows), np.concatenate(pair_rows)
 
-    def _decode(self, payload: object, line: str, n: int) -> DenoiserOutput:
+    def _decode(self, payload: object, line: str, n: int) -> Rows:
+        """A reply's node rows and its pair rows in ``upper_indices(n)`` order."""
         if not isinstance(payload, dict) or "node_probs" not in payload:
             raise ProtocolError(f"malformed denoiser response: {line.strip()!r}")
+        pair_rows = np.zeros((n * (n - 1) // 2, N_EDGE_CATEGORIES))
+        pair_rows[:, EDGE_NONE] = 1.0
         try:
             node_probs = np.asarray(payload["node_probs"], dtype=np.float64)
-            edge_probs = np.zeros((n, n, N_EDGE_CATEGORIES))
-            edge_probs[:, :, EDGE_NONE] = 1.0
             items = payload.get("edge_probs", [])
             if items:
                 if not all(isinstance(item, list) and len(item) == 3 for item in items):
                     raise ValueError("edge entries must be [i, j, row] triples")
                 i, j, rows = zip(*items)
-                pairs = np.asarray([i, j])
+                ends = np.asarray([i, j])
                 rows = np.asarray(rows, dtype=np.float64)
-                if pairs.dtype.kind != "i":
+                if ends.dtype.kind != "i":
                     raise ValueError("edge indices must be integers")
                 if rows.shape != (len(items), N_EDGE_CATEGORIES):
                     raise ValueError(f"edge rows have shape {rows.shape}")
-                # (i, j) then (j, i) per entry, in reply order, so a pair sent
-                # twice keeps its last row in both orientations.
-                edge_probs[pairs.T.ravel(), pairs[::-1].T.ravel()] = np.repeat(rows, 2, axis=0)
-        except (ValueError, TypeError, IndexError) as exc:
-            raise ProtocolError(
-                f"malformed denoiser response ({exc}): {line.strip()!r}"
-            ) from exc
+                if not ((ends >= 0) & (ends < n)).all():
+                    raise ValueError(f"edge index out of bounds for {n} nodes")
+                _check_rows(rows, "edge", line)
+                lo, hi = ends.min(axis=0), ends.max(axis=0)
+                pair = lo != hi
+                # In reply order, so a pair sent twice keeps its last row.
+                pair_rows[pair_position(lo[pair], hi[pair], n)] = rows[pair]
+        except (ValueError, TypeError) as exc:
+            raise ProtocolError(f"malformed denoiser response ({exc}): {line.strip()!r}") from exc
         if node_probs.shape != (n, self._n_atom_types):
             raise ProtocolError(
                 f"node_probs shape {node_probs.shape}, expected ({n}, {self._n_atom_types})"
             )
-        if not np.allclose(node_probs.sum(axis=1), 1.0, atol=1e-9):
-            raise ProtocolError(f"node probability rows do not sum to 1: {line.strip()!r}")
-        if not np.allclose(edge_probs.sum(axis=2), 1.0, atol=1e-9):
-            raise ProtocolError(f"edge probability rows do not sum to 1: {line.strip()!r}")
-        return DenoiserOutput(node_probs=node_probs, edge_probs=edge_probs)
+        _check_rows(node_probs, "node", line)
+        return node_probs, pair_rows

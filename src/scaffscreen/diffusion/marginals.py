@@ -13,6 +13,7 @@ contributes a point mass on "no edge" when it is the only input.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -114,26 +115,37 @@ def compute_marginals(mols: Sequence[MolGraph]) -> Marginals:
     )
 
 
+@functools.lru_cache(maxsize=128)
+def upper_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only ``np.triu_indices(n, k=1)``: the order of an n-atom graph's pairs."""
+    iu, ju = np.triu_indices(n, k=1)
+    iu.setflags(write=False)
+    ju.setflags(write=False)
+    return iu, ju
+
+
+def pair_position(i, j, n: int):
+    """Position of pair (i, j), i < j, in ``upper_indices(n)`` order."""
+    return i * (2 * n - i - 1) // 2 + j - i - 1
+
+
 def encode_molecule(mol: MolGraph, marginals: Marginals) -> tuple[np.ndarray, np.ndarray]:
-    """Categorical encoding: node id vector and dense symmetric edge id matrix."""
+    """Categorical encoding: node ids and pair ids in ``upper_indices`` order."""
     nodes = np.array([marginals.atom_index(a) for a in mol.atoms], dtype=np.int64)
     n = mol.n_atoms
-    edges = np.zeros((n, n), dtype=np.int64)
+    pairs = np.zeros(n * (n - 1) // 2, dtype=np.int64)
     for (i, j), order in mol.bonds.items():
-        edges[i, j] = edges[j, i] = int(order)
-    return nodes, edges
+        pairs[pair_position(i, j, n)] = int(order)
+    return nodes, pairs
 
 
 def decode_graph(
-    nodes: np.ndarray, edges: np.ndarray, atom_types: Sequence[Atom]
+    nodes: np.ndarray, pairs: np.ndarray, atom_types: Sequence[Atom]
 ) -> MolGraph:
     """Inverse of :func:`encode_molecule`; drops "no edge" entries."""
-    atoms = [atom_types[int(k)] for k in nodes]
-    n = len(atoms)
-    bonds = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            cat = int(edges[i, j])
-            if cat != EDGE_NONE:
-                bonds[(i, j)] = EDGE_CATEGORIES[cat]
-    return MolGraph(atoms, bonds)
+    iu, ju = upper_indices(len(nodes))
+    bonds = {
+        (int(iu[k]), int(ju[k])): EDGE_CATEGORIES[int(pairs[k])]
+        for k in np.flatnonzero(pairs != EDGE_NONE)
+    }
+    return MolGraph([atom_types[int(k)] for k in nodes], bonds)

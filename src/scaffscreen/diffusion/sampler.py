@@ -20,10 +20,9 @@ built once per schedule and prior and shared by every chain and step.
 
 ``_run_chains`` is the one reverse-diffusion loop. All chains of one call
 advance in lockstep, one timestep at a time, over flat arrays: every
-chain's nodes, then every chain's upper-triangle pairs in
-``np.triu_indices`` order, each with a fixed flag and its scaffold
-category. A step scatters the pairs into one symmetric n*n block per chain,
-asks the denoiser once per chain, computes the posterior with one row
+chain's nodes, then every chain's pairs in ``upper_indices`` order, each
+with a fixed flag and its scaffold category. A step asks the denoiser once
+for the rows of the whole stack, computes the posterior with one row
 product for all nodes and one for all pairs, and samples and re-anchors
 the whole stack at once. Each chain keeps its own generator and draws its
 uniforms in the same order as when run alone (its nodes, then its pairs),
@@ -41,14 +40,14 @@ import functools
 import itertools
 import logging
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from ..chem.graph import MolGraph
 from ..chem.valence import check_valence
 from .denoisers import Denoiser
-from .marginals import Marginals, decode_graph, encode_molecule
+from .marginals import Marginals, decode_graph, encode_molecule, upper_indices
 from .schedule import CosineSchedule, mixing_matrix
 
 __all__ = [
@@ -68,12 +67,6 @@ SIZE_FALLBACK_MARGIN = 5
 def _read_only(array: np.ndarray) -> np.ndarray:
     array.setflags(write=False)
     return array
-
-
-@functools.lru_cache(maxsize=128)
-def _upper_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
-    iu, ju = np.triu_indices(n, k=1)
-    return _read_only(iu), _read_only(ju)
 
 
 @functools.lru_cache(maxsize=4)
@@ -161,82 +154,51 @@ def _run_chains(
     """
     if not scaffolds:
         return []
-    for scaffold in scaffolds:
-        for atom in scaffold.atoms:
-            marginals.atom_index(atom)  # KeyError for atoms outside the vocabulary
-    sizes = []
-    nodes, node_fixed, node_anchor = [], [], []
-    pairs, pair_fixed, pair_anchor = [], [], []
+    sizes, nodes, node_fixed, pairs, pair_fixed, anchors = [], [], [], [], [], []
     for scaffold, rng in zip(scaffolds, rngs):
+        anchors.append(encode_molecule(scaffold, marginals))  # KeyError for unknown atoms
         n_scaffold = scaffold.n_atoms
         n = _draw_size(n_scaffold, marginals, rng)
-        iu, ju = _upper_indices(n)
-        scaffold_nodes, scaffold_edges = encode_molecule(scaffold, marginals)
+        _, ju = upper_indices(n)
         sizes.append(n)
         nodes.append(rng.choice(marginals.n_atom_types, size=n, p=marginals.node_prior))
-        pairs.append(rng.choice(marginals.n_edge_types, size=len(iu), p=marginals.edge_prior))
+        pairs.append(rng.choice(marginals.n_edge_types, size=len(ju), p=marginals.edge_prior))
         # Node i is fixed iff i < n_scaffold, pair (i, j) with i < j iff j < n_scaffold.
         node_fixed.append(np.arange(n) < n_scaffold)
-        node_anchor.append(np.zeros(n, dtype=np.int64))
-        node_anchor[-1][:n_scaffold] = scaffold_nodes
-        fixed = ju < n_scaffold
-        pair_fixed.append(fixed)
-        pair_anchor.append(np.zeros(len(iu), dtype=np.int64))
-        pair_anchor[-1][fixed] = scaffold_edges[iu[fixed], ju[fixed]]
+        pair_fixed.append(ju < n_scaffold)
     n_pairs = [n * (n - 1) // 2 for n in sizes]
     node_bounds = _bounds(sizes)
     pair_bounds = _bounds(n_pairs)
-    edge_bounds = _bounds(n * n for n in sizes)
     draw_bounds = _bounds(n + m for n, m in zip(sizes, n_pairs))
     # A chain's uniforms start after every earlier chain's nodes and pairs.
     node_draws = np.arange(node_bounds[-1]) + np.repeat(pair_bounds[:-1], sizes)
     pair_draws = np.arange(pair_bounds[-1]) + np.repeat(node_bounds[1:], n_pairs)
-    # Each pair's two cells in the flat edge blocks.
-    upper = []
-    lower = []
-    for n, offset in zip(sizes, edge_bounds):
-        iu, ju = _upper_indices(n)
-        upper.append(offset + iu * n + ju)
-        lower.append(offset + ju * n + iu)
-    upper = np.concatenate(upper)
-    lower = np.concatenate(lower)
     node_fixed = np.concatenate(node_fixed)
-    node_anchor = np.concatenate(node_anchor)
     pair_fixed = np.concatenate(pair_fixed)
-    pair_anchor = np.concatenate(pair_anchor)
-    nodes = np.where(node_fixed, node_anchor, np.concatenate(nodes))
-    pairs = np.where(pair_fixed, pair_anchor, np.concatenate(pairs))
-
-    def graphs(nodes: np.ndarray, pairs: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """Each chain's (nodes, edges), its pairs scattered into a fresh n*n block."""
-        edges = np.zeros(edge_bounds[-1], dtype=np.int64)
-        edges[upper] = pairs
-        edges[lower] = pairs
-        for c, n in enumerate(sizes):
-            block = edges[edge_bounds[c] : edge_bounds[c + 1]]
-            yield nodes[node_bounds[c] : node_bounds[c + 1]], block.reshape(n, n)
+    # In stack order, a chain's fixed nodes and pairs are its scaffold's encoding.
+    node_anchor, pair_anchor = (np.concatenate(part) for part in zip(*anchors))
+    nodes, pairs = np.concatenate(nodes), np.concatenate(pairs)
+    nodes[node_fixed] = node_anchor
+    pairs[pair_fixed] = pair_anchor
+    want = ((len(nodes), marginals.n_atom_types), (len(pairs), marginals.n_edge_types))
 
     for t in range(schedule.timesteps, 0, -1):
-        node_rows = []
-        pair_rows = []
-        for (chain_nodes, chain_edges), n in zip(graphs(nodes, pairs), sizes):
-            pred = denoiser.denoise(t, chain_nodes, chain_edges)
-            pred.validate(n, marginals.n_atom_types)
-            iu, ju = _upper_indices(n)
-            node_rows.append(pred.node_probs)
-            pair_rows.append(pred.edge_probs[iu, ju])
-        node_post = posterior_distributions(
-            t, nodes, np.concatenate(node_rows), marginals.node_prior, schedule
-        )
-        pair_post = posterior_distributions(
-            t, pairs, np.concatenate(pair_rows), marginals.edge_prior, schedule
-        )
+        node_pred, pair_pred = denoiser.denoise(t, nodes, pairs, sizes)
+        if (node_pred.shape, pair_pred.shape) != want:
+            raise ValueError(f"denoiser row shapes {node_pred.shape, pair_pred.shape}, not {want}")
+        node_post = posterior_distributions(t, nodes, node_pred, marginals.node_prior, schedule)
+        pair_post = posterior_distributions(t, pairs, pair_pred, marginals.edge_prior, schedule)
         uniforms = np.empty(draw_bounds[-1])
         for rng, start, stop in zip(rngs, draw_bounds, draw_bounds[1:]):
             rng.random(out=uniforms[start:stop])
-        nodes = np.where(node_fixed, node_anchor, _sample_rows(node_post, uniforms[node_draws]))
-        pairs = np.where(pair_fixed, pair_anchor, _sample_rows(pair_post, uniforms[pair_draws]))
-    return [_decode_extension(*graph, marginals) for graph in graphs(nodes, pairs)]
+        nodes = _sample_rows(node_post, uniforms[node_draws])
+        pairs = _sample_rows(pair_post, uniforms[pair_draws])
+        nodes[node_fixed] = node_anchor
+        pairs[pair_fixed] = pair_anchor
+    return [
+        _decode_extension(nodes[a:b], pairs[c:d], marginals)
+        for a, b, c, d in zip(node_bounds, node_bounds[1:], pair_bounds, pair_bounds[1:])
+    ]
 
 
 def extend_scaffold(
@@ -262,8 +224,8 @@ def extend_scaffold(
     return molecule
 
 
-def _decode_extension(nodes: np.ndarray, edges: np.ndarray, marginals: Marginals) -> MolGraph:
-    full = decode_graph(nodes, edges, marginals.atom_types)
+def _decode_extension(nodes: np.ndarray, pairs: np.ndarray, marginals: Marginals) -> MolGraph:
+    full = decode_graph(nodes, pairs, marginals.atom_types)
     for component in full.connected_components():
         if 0 in component:
             return full.subgraph(component)

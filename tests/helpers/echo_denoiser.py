@@ -8,12 +8,15 @@ Modes, chosen by argv[1]:
   pair      an edge entry that is a pair, not an [i, j, row] triple
   wide      an edge row six categories wide
   outside   an edge entry whose index is the node count
+  negative  a node row [1.5, -0.5, 0, ...] that sums to one
+  linger    echo, but stay alive for a minute after stdin closes
 """
 
 from __future__ import annotations
 
 import json
 import sys
+import time
 
 N_EDGE_CATEGORIES = 5
 
@@ -30,6 +33,8 @@ def _respond(request: dict, mode: str, n_atom_types: int) -> str:
         row = [0.0] * n_atom_types
         row[category] = 1.0
         node_probs.append(row)
+    if mode == "negative":
+        node_probs[0] = [1.5, -0.5] + [0.0] * (n_atom_types - 2)
     edge_probs = []
     for i, j, category in request["edges"]:
         row = [0.0] * N_EDGE_CATEGORIES
@@ -55,6 +60,8 @@ def main() -> int:
         request = json.loads(line)
         sys.stdout.write(_respond(request, mode, n_atom_types) + "\n")
         sys.stdout.flush()
+    if mode == "linger":
+        time.sleep(60)
     return 0
 
 

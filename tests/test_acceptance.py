@@ -40,6 +40,7 @@ from scaffscreen.rerank import build_candidates, lambda_sweep, mmr_rerank
 from scaffscreen.sampling import ClusterModel, sample_library, sampling_weights
 from scaffscreen.selftrain import FingerprintClassifier, predict, pseudo_label
 
+from helpers.chain_stack import split_stack
 from helpers.reference_selftrain import one_cell_loss_and_grad
 
 pytestmark = pytest.mark.filterwarnings("ignore:.*active fraction.*:UserWarning")
@@ -316,24 +317,25 @@ def test_extension_preserves_the_scaffold_at_every_step(monkeypatch):
         return rows
 
     class AnchorCheckingDenoiser(MarginalDenoiser):
-        """Checks every graph the engine asks about, one per reverse step."""
+        """Checks every chain's graph the engine asks about, one per reverse step."""
 
         scaffold = None
 
-        def denoise(self, t, nodes, edges):
+        def denoise(self, t, nodes, pairs, sizes):
             nonlocal steps, anchor_failures, size_failures
-            steps += 1
-            anchor_nodes, anchor_edges = encode_molecule(self.scaffold, marginals)
+            anchor_nodes, anchor_pairs = encode_molecule(self.scaffold, marginals)
             n_scaffold = len(anchor_nodes)
-            if not (
-                (nodes[:n_scaffold] == anchor_nodes).all()
-                and (edges[:n_scaffold, :n_scaffold] == anchor_edges).all()
-                and (edges == edges.T).all()
-            ):
-                anchor_failures += 1
-            if not len(nodes) > n_scaffold:
-                size_failures += 1
-            return super().denoise(t, nodes, edges)
+            for chain_nodes, chain_pairs in split_stack(nodes, pairs, sizes):
+                steps += 1
+                _, ju = np.triu_indices(len(chain_nodes), k=1)
+                if not (
+                    (chain_nodes[:n_scaffold] == anchor_nodes).all()
+                    and (chain_pairs[ju < n_scaffold] == anchor_pairs).all()
+                ):
+                    anchor_failures += 1
+                if not len(chain_nodes) > n_scaffold:
+                    size_failures += 1
+            return super().denoise(t, nodes, pairs, sizes)
 
     monkeypatch.setattr(sampler, "posterior_distributions", record_rows)
     denoiser = AnchorCheckingDenoiser(marginals)
@@ -355,8 +357,8 @@ def test_extension_preserves_the_scaffold_at_every_step(monkeypatch):
     _verdict(
         "anchored-extension",
         ok,
-        f"1000 calls x {schedule.timesteps} steps: scaffold intact and edges "
-        f"symmetric in all {steps} graphs the denoiser saw, every graph larger "
+        f"1000 calls x {schedule.timesteps} steps: scaffold atoms and pairs "
+        f"intact in all {steps} graphs the denoiser saw, every graph larger "
         f"than its scaffold, "
         f"posterior rows sum to 1 within {max_dev:.1e}, "
         f"{decoded_extensions}/1000 decoded molecules kept extra atoms",

@@ -11,7 +11,6 @@ import pytest
 from scaffscreen.chem import Atom, parse_smiles, to_smiles
 from scaffscreen.diffusion import (
     CosineSchedule,
-    DenoiserOutput,
     EDGE_NONE,
     ExternalDenoiser,
     GenerationReport,
@@ -26,8 +25,11 @@ from scaffscreen.diffusion import (
     mixing_matrix,
     posterior_distributions,
 )
+from scaffscreen.diffusion import denoisers as denoisers_module
 from scaffscreen.diffusion import sampler as sampler_module
 from scaffscreen.diffusion.denoisers import _request_line
+
+from helpers.chain_stack import split_stack
 
 HELPER = Path(__file__).parent / "helpers" / "echo_denoiser.py"
 
@@ -83,20 +85,29 @@ def test_encode_decode_round_trip():
     )
     for smiles in ("CCO", "c1ccccc1", "CC(=O)Oc1ccccc1C(=O)O", "[NH3+]CC([O-])=O"):
         mol = parse_smiles(smiles)
-        nodes, edges = encode_molecule(mol, marginals)
-        assert (edges == edges.T).all()
-        assert (np.diag(edges) == EDGE_NONE).all()
-        assert decode_graph(nodes, edges, marginals.atom_types) == mol
+        nodes, pairs = encode_molecule(mol, marginals)
+        assert pairs.shape == (mol.n_atoms * (mol.n_atoms - 1) // 2,)
+        assert decode_graph(nodes, pairs, marginals.atom_types) == mol
 
 
 def test_encoding_of_ethanol_is_explicit():
     marginals = compute_marginals(_mols("CCO"))
-    nodes, edges = encode_molecule(parse_smiles("CCO"), marginals)
+    nodes, pairs = encode_molecule(parse_smiles("CCO"), marginals)
     assert nodes.tolist() == [0, 0, 1]
-    expected = np.zeros((3, 3), dtype=np.int64)
-    expected[0, 1] = expected[1, 0] = 1
-    expected[1, 2] = expected[2, 1] = 1
-    assert (edges == expected).all()
+    # Pairs (0, 1), (0, 2), (1, 2): two single bonds around the non-bond.
+    assert pairs.tolist() == [1, 0, 1]
+
+
+def test_pair_encoding_is_the_upper_triangle_of_the_bond_matrix():
+    marginals = compute_marginals(_mols("CC(=O)Oc1ccccc1C(=O)O", "C#N"))
+    for smiles in ("CC(=O)Oc1ccccc1C(=O)O", "C#N", "C"):
+        mol = parse_smiles(smiles)
+        n = mol.n_atoms
+        dense = np.zeros((n, n), dtype=np.int64)
+        for (i, j), order in mol.bonds.items():
+            dense[i, j] = dense[j, i] = int(order)
+        _, pairs = encode_molecule(mol, marginals)
+        assert pairs.tolist() == dense[np.triu_indices(n, k=1)].tolist()
 
 
 # --- schedule -----------------------------------------------------------
@@ -251,22 +262,29 @@ def test_posterior_requires_positive_t():
     marginals = compute_marginals(_mols("CCO"))
     schedule = CosineSchedule(timesteps=10)
     nodes = np.array([0, 1])
-    pred = MarginalDenoiser(marginals).denoise(0, nodes, np.zeros((2, 2), dtype=np.int64))
+    node_pred, _ = MarginalDenoiser(marginals).denoise(0, nodes, np.zeros(1, dtype=np.int64), [2])
     for t in (0, 11):
         with pytest.raises(ValueError, match=r"t must lie in \[1, 10\]"):
-            posterior_distributions(t, nodes, pred.node_probs, marginals.node_prior, schedule)
+            posterior_distributions(t, nodes, node_pred, marginals.node_prior, schedule)
 
 
 class RecordingDenoiser:
-    """Forwards to ``inner`` and keeps a copy of every (t, nodes, edges) asked about."""
+    """Forwards to ``inner`` and keeps copies of what it was asked about.
+
+    ``calls`` holds each call's (t, nodes, pairs, sizes) and ``seen`` each
+    chain's (t, nodes, pairs) of every call, split from the stack.
+    """
 
     def __init__(self, inner):
         self.inner = inner
+        self.calls = []
         self.seen = []
 
-    def denoise(self, t, nodes, edges):
-        self.seen.append((t, nodes.copy(), edges.copy()))
-        return self.inner.denoise(t, nodes, edges)
+    def denoise(self, t, nodes, pairs, sizes):
+        self.calls.append((t, nodes.copy(), pairs.copy(), list(sizes)))
+        for chain_nodes, chain_pairs in split_stack(nodes, pairs, sizes):
+            self.seen.append((t, chain_nodes.copy(), chain_pairs.copy()))
+        return self.inner.denoise(t, nodes, pairs, sizes)
 
 
 def _record_posteriors(monkeypatch):
@@ -286,27 +304,26 @@ def test_posterior_step_keeps_anchor_and_decrements_t(monkeypatch):
     marginals = compute_marginals(_mols("CCO", "c1ccccc1", "CCN(CC)CC"))
     schedule = CosineSchedule(timesteps=10)
     scaffold = parse_smiles("c1ccccc1")
-    anchor_nodes, anchor_edges = encode_molecule(scaffold, marginals)
+    anchor_nodes, anchor_pairs = encode_molecule(scaffold, marginals)
     denoiser = RecordingDenoiser(MarginalDenoiser(marginals))
     posteriors = _record_posteriors(monkeypatch)
     mol = extend_scaffold(scaffold, denoiser, marginals, schedule=schedule, seed=1)
     assert [t for t, _, _ in denoiser.seen] == list(range(10, 0, -1))
     (n,) = {len(nodes) for _, nodes, _ in denoiser.seen}
     assert n > 6
-    for _, nodes, edges in denoiser.seen:
+    iu, ju = np.triu_indices(n, k=1)
+    for _, nodes, pairs in denoiser.seen:
         assert (nodes[:6] == anchor_nodes).all()
-        assert (edges[:6, :6] == anchor_edges).all()
-        assert (edges == edges.T).all()
-        assert (np.diag(edges) == EDGE_NONE).all()
+        assert (pairs[ju < 6] == anchor_pairs).all()
+        assert len(pairs) == len(iu)
     # Each step computes the node rows, then the pair rows, from the graph it was asked about.
     assert [t for t, _, _ in posteriors] == [t for t in range(10, 0, -1) for _ in "np"]
-    iu, ju = np.triu_indices(n, k=1)
-    for (_, nodes, edges), node_call, pair_call in zip(
+    for (_, nodes, pairs), node_call, pair_call in zip(
         denoiser.seen, posteriors[::2], posteriors[1::2]
     ):
         assert (node_call[1] == nodes).all()
         assert node_call[2].shape == (n, marginals.n_atom_types)
-        assert (pair_call[1] == edges[iu, ju]).all()
+        assert (pair_call[1] == pairs).all()
         assert pair_call[2].shape == (n * (n - 1) // 2, marginals.n_edge_types)
     assert mol.subgraph(range(6)) == scaffold
 
@@ -316,34 +333,54 @@ def test_posterior_step_keeps_anchor_and_decrements_t(monkeypatch):
 
 def test_marginal_denoiser_predicts_priors_everywhere():
     marginals = compute_marginals(_mols("CCO", "c1ccccc1"))
-    nodes = np.array([0, 1, 2, 1])
-    edges = np.zeros((4, 4), dtype=np.int64)
-    out = MarginalDenoiser(marginals).denoise(5, nodes, edges)
-    out.validate(4, marginals.n_atom_types)
-    for row in out.node_probs:
+    # Two chains of sizes 4 and 2: 6 nodes and 6 + 1 pairs.
+    nodes = np.array([0, 1, 2, 1, 0, 0])
+    pairs = np.zeros(7, dtype=np.int64)
+    node_rows, pair_rows = MarginalDenoiser(marginals).denoise(5, nodes, pairs, [4, 2])
+    assert node_rows.shape == (6, marginals.n_atom_types)
+    assert pair_rows.shape == (7, marginals.n_edge_types)
+    for row in node_rows:
         assert row == pytest.approx(marginals.node_prior)
-    assert np.allclose(out.edge_probs, marginals.edge_prior)
+    assert np.allclose(pair_rows, marginals.edge_prior)
 
 
 def test_one_hot_echo_denoiser_is_certain_about_the_input():
     nodes = np.array([2, 0, 1])
-    edges = np.zeros((3, 3), dtype=np.int64)
-    edges[0, 1] = edges[1, 0] = 4
-    out = OneHotEchoDenoiser(3).denoise(1, nodes, edges)
-    out.validate(3, 3)
-    assert (out.node_probs.argmax(axis=1) == nodes).all()
-    assert (out.node_probs.max(axis=1) == 1.0).all()
-    assert out.edge_probs[0, 1].argmax() == 4
-    assert out.edge_probs[2, 1].argmax() == EDGE_NONE
+    # Pairs (0, 1), (0, 2), (1, 2): one aromatic bond.
+    pairs = np.array([4, 0, 0])
+    node_rows, pair_rows = OneHotEchoDenoiser(3).denoise(1, nodes, pairs, [3])
+    assert node_rows.shape == (3, 3)
+    assert pair_rows.shape == (3, 5)
+    assert (node_rows.argmax(axis=1) == nodes).all()
+    assert (node_rows.max(axis=1) == 1.0).all()
+    assert pair_rows[0].argmax() == 4
+    assert pair_rows[2].argmax() == EDGE_NONE
 
 
-def test_denoiser_output_shape_validation():
-    out = DenoiserOutput(node_probs=np.zeros((3, 2)), edge_probs=np.zeros((3, 3, 5)))
-    out.validate(3, 2)
-    with pytest.raises(ValueError):
-        out.validate(3, 4)
-    with pytest.raises(ValueError):
-        DenoiserOutput(node_probs=np.zeros((3, 2)), edge_probs=np.zeros((3, 3, 4))).validate(3, 2)
+class _WidthDenoiser(MarginalDenoiser):
+    """Marginal rows, one column short for nodes or for pairs."""
+
+    def __init__(self, marginals, short):
+        super().__init__(marginals)
+        self.short = short
+
+    def denoise(self, t, nodes, pairs, sizes):
+        node_rows, pair_rows = super().denoise(t, nodes, pairs, sizes)
+        if self.short == "nodes":
+            return node_rows[:, 1:], pair_rows
+        return node_rows, pair_rows[:, 1:]
+
+
+@pytest.mark.parametrize("short", ["nodes", "pairs"])
+def test_engine_rejects_denoiser_rows_of_the_wrong_width(short):
+    marginals = compute_marginals(_mols("CCO", "c1ccccc1"))
+    with pytest.raises(ValueError, match="denoiser row shapes"):
+        extend_scaffold(
+            parse_smiles("c1ccccc1"),
+            _WidthDenoiser(marginals, short),
+            marginals,
+            schedule=CosineSchedule(timesteps=3),
+        )
 
 
 # --- external denoiser --------------------------------------------------
@@ -355,41 +392,81 @@ def _echo_command(mode: str, n_atom_types: int) -> list[str]:
 
 def test_external_denoiser_round_trip_matches_in_process_echo():
     marginals = compute_marginals(_mols("CCO", "c1ccccc1"))
-    mol = parse_smiles("c1ccccc1")
-    nodes, edges = encode_molecule(mol, marginals)
+    # A stack of two chains, benzene then ethanol: one request each.
+    (benzene_nodes, benzene_pairs), (ethanol_nodes, ethanol_pairs) = (
+        encode_molecule(mol, marginals) for mol in _mols("c1ccccc1", "CCO")
+    )
+    nodes = np.concatenate([benzene_nodes, ethanol_nodes])
+    pairs = np.concatenate([benzene_pairs, ethanol_pairs])
     a = marginals.n_atom_types
     with ExternalDenoiser(_echo_command("echo", a), a) as external:
-        got = external.denoise(3, nodes, edges)
-        again = external.denoise(2, nodes, edges)
-    want = OneHotEchoDenoiser(a).denoise(3, nodes, edges)
-    assert np.allclose(got.node_probs, want.node_probs)
-    assert np.allclose(got.edge_probs, want.edge_probs)
-    assert np.allclose(again.node_probs, want.node_probs)
+        got = external.denoise(3, nodes, pairs, [6, 3])
+        again = external.denoise(2, nodes, pairs, [6, 3])
+    want = OneHotEchoDenoiser(a).denoise(3, nodes, pairs, [6, 3])
+    assert np.allclose(got[0], want[0])
+    assert np.allclose(got[1], want[1])
+    assert np.allclose(again[0], want[0])
 
 
 def test_external_denoiser_rejects_non_json():
     nodes = np.array([0, 1])
-    edges = np.zeros((2, 2), dtype=np.int64)
+    pairs = np.zeros(1, dtype=np.int64)
     with ExternalDenoiser(_echo_command("garbage", 2), 2) as external:
         with pytest.raises(ProtocolError, match="invalid JSON"):
-            external.denoise(1, nodes, edges)
+            external.denoise(1, nodes, pairs, [2])
 
 
 def test_external_denoiser_rejects_bad_probability_rows():
     nodes = np.array([0, 1])
-    edges = np.zeros((2, 2), dtype=np.int64)
+    pairs = np.zeros(1, dtype=np.int64)
     with ExternalDenoiser(_echo_command("badrow", 2), 2) as external:
         with pytest.raises(ProtocolError, match="sum to 1"):
-            external.denoise(1, nodes, edges)
+            external.denoise(1, nodes, pairs, [2])
+
+
+def test_external_denoiser_rejects_negative_probabilities():
+    # The child's first node row is [1.5, -0.5], which sums to one.
+    nodes = np.array([0, 1])
+    pairs = np.zeros(1, dtype=np.int64)
+    with ExternalDenoiser(_echo_command("negative", 2), 2) as external:
+        with pytest.raises(ProtocolError, match="negative or not finite"):
+            external.denoise(1, nodes, pairs, [2])
+
+
+@pytest.mark.parametrize(
+    ("node_row", "edge_row"),
+    [
+        ([1.5, -0.5], [1.0, 0.0, 0.0, 0.0, 0.0]),
+        ([1.0, 0.0], [1.2, -0.2, 0.0, 0.0, 0.0]),
+        ([float("nan"), 1.0], [1.0, 0.0, 0.0, 0.0, 0.0]),
+        ([1.0, 0.0], [float("inf"), 0.0, 0.0, 0.0, 0.0]),
+    ],
+)
+def test_external_decode_rejects_negative_or_non_finite_entries(node_row, edge_row):
+    payload = {"node_probs": [node_row, [0.0, 1.0]], "edge_probs": [[0, 1, edge_row]]}
+    with pytest.raises(ProtocolError, match="negative or not finite"):
+        ExternalDenoiser(["unused"], 2)._decode(payload, "", 2)
+
+
+@pytest.mark.parametrize(("offset", "accepted"), [(5e-6, True), (2e-5, False)])
+def test_external_decode_keeps_the_row_sum_tolerance(offset, accepted):
+    # np.allclose(sums, 1, atol=1e-9) passes sums within 1e-5 + 1e-9 of one.
+    payload = {"node_probs": [[1.0 - offset, 2 * offset], [0.0, 1.0]], "edge_probs": []}
+    external = ExternalDenoiser(["unused"], 2)
+    if accepted:
+        external._decode(payload, "", 2)
+    else:
+        with pytest.raises(ProtocolError, match="sum to 1"):
+            external._decode(payload, "", 2)
 
 
 def test_external_denoiser_rejects_shape_mismatch():
     nodes = np.array([0, 1])
-    edges = np.zeros((2, 2), dtype=np.int64)
+    pairs = np.zeros(1, dtype=np.int64)
     # The child answers with three-wide rows while two are expected.
     with ExternalDenoiser(_echo_command("echo", 3), 2) as external:
         with pytest.raises(ProtocolError, match="shape"):
-            external.denoise(1, nodes, edges)
+            external.denoise(1, nodes, pairs, [2])
 
 
 @pytest.mark.parametrize(
@@ -400,26 +477,30 @@ def test_external_denoiser_rejects_malformed_edge_entries(mode, message):
     # The other edge entries are well formed, so the one bad entry is found
     # among them.
     marginals = compute_marginals(_mols("CCO", "c1ccccc1"))
-    nodes, edges = encode_molecule(parse_smiles("c1ccccc1"), marginals)
+    nodes, pairs = encode_molecule(parse_smiles("c1ccccc1"), marginals)
     a = marginals.n_atom_types
     with ExternalDenoiser(_echo_command(mode, a), a) as external:
         with pytest.raises(ProtocolError, match=message):
-            external.denoise(1, nodes, edges)
+            external.denoise(1, nodes, pairs, [6])
 
 
 def test_external_decode_matches_a_loop_over_entries():
     # Entries may repeat a pair in either orientation; the last one wins in
-    # both cells, as when each entry is written in turn.
+    # both cells, as when each entry is written in turn. A diagonal entry
+    # lands on no pair.
     single, double, triple = ([float(k == c) for k in range(5)] for c in (1, 2, 3))
-    entries = [[0, 1, single], [2, 0, triple], [1, 0, double], [3, 2, single], [0, 2, double]]
+    entries = [
+        [0, 1, single], [2, 0, triple], [1, 0, double], [3, 2, single], [0, 2, double],
+        [1, 1, triple],
+    ]
     payload = {"node_probs": [[1.0]] * 4, "edge_probs": entries}
-    got = ExternalDenoiser(["unused"], 1)._decode(payload, "", 4)
+    _, got = ExternalDenoiser(["unused"], 1)._decode(payload, "", 4)
     want = np.zeros((4, 4, 5))
     want[:, :, EDGE_NONE] = 1.0
     for i, j, row in entries:
         want[i, j] = row
         want[j, i] = row
-    assert np.array_equal(got.edge_probs, want)
+    assert np.array_equal(got, want[np.triu_indices(4, k=1)])
 
 
 def test_external_request_matches_a_loop_over_pairs():
@@ -438,21 +519,37 @@ def test_external_request_matches_a_loop_over_pairs():
         for density in (0.0, 0.3, 1.0):
             upper = np.triu(rng.integers(1, 5, (n, n)) * (rng.random((n, n)) < density), 1)
             edges = upper + upper.T
+            pairs = edges[np.triu_indices(n, k=1)]
             nodes = rng.integers(0, 6, n)
             t = int(rng.integers(1, 50))
-            assert _request_line(t, nodes, edges) == loop_request(t, nodes, edges)
+            assert _request_line(t, nodes, pairs) == loop_request(t, nodes, edges)
 
 
 def test_external_denoiser_restarts_after_close():
     nodes = np.array([0])
-    edges = np.zeros((1, 1), dtype=np.int64)
+    pairs = np.zeros(0, dtype=np.int64)
     external = ExternalDenoiser(_echo_command("echo", 2), 2)
-    first = external.denoise(1, nodes, edges)
+    first = external.denoise(1, nodes, pairs, [1])
     external.close()
-    second = external.denoise(1, nodes, edges)
+    second = external.denoise(1, nodes, pairs, [1])
     external.close()
     external.close()  # idempotent
-    assert np.allclose(first.node_probs, second.node_probs)
+    assert np.allclose(first[0], second[0])
+
+
+def test_external_denoiser_close_kills_a_child_that_ignores_eof(monkeypatch):
+    monkeypatch.setattr(denoisers_module, "CLOSE_TIMEOUT_S", 0.2)
+    external = ExternalDenoiser(_echo_command("linger", 2), 2)
+    try:
+        external.denoise(1, np.array([0]), np.zeros(0, dtype=np.int64), [1])
+        proc = external._proc
+        external.close()
+        assert proc.poll() is not None
+        assert external._proc is None
+    finally:
+        if external._proc is not None:
+            external._proc.kill()
+            external._proc.wait()
 
 
 # --- scaffold extension -------------------------------------------------
@@ -471,15 +568,15 @@ def test_extension_keeps_scaffold_anchored_at_every_step(monkeypatch):
     marginals = compute_marginals(_mols(*EXTENSION_DATASET))
     schedule = CosineSchedule(timesteps=10)
     scaffold = parse_smiles("c1ccccc1")
-    anchor_nodes, anchor_edges = encode_molecule(scaffold, marginals)
+    anchor_nodes, anchor_pairs = encode_molecule(scaffold, marginals)
     denoiser = RecordingDenoiser(OneHotEchoDenoiser(marginals.n_atom_types))
     posteriors = _record_posteriors(monkeypatch)
     mol = extend_scaffold(scaffold, denoiser, marginals, schedule=schedule, seed=3)
     assert [t for t, _, _ in denoiser.seen] == list(range(10, 0, -1))
-    for _, nodes, edges in denoiser.seen:
+    for _, nodes, pairs in denoiser.seen:
+        _, ju = np.triu_indices(len(nodes), k=1)
         assert (nodes[:6] == anchor_nodes).all()
-        assert (edges[:6, :6] == anchor_edges).all()
-        assert (edges == edges.T).all()
+        assert (pairs[ju < 6] == anchor_pairs).all()
     assert len(posteriors) == 2 * schedule.timesteps
     for _, _, rows in posteriors:
         assert np.allclose(rows.sum(axis=1), 1.0, atol=1e-9)
@@ -573,22 +670,27 @@ def _denoiser(kind, marginals):
     return OneHotEchoDenoiser(marginals.n_atom_types)
 
 
+def _golden_smiles(denoiser, marginals):
+    """SMILES of every entry of the golden mixed-size call under ``denoiser``."""
+    scaffolds = _mols(*LOCKSTEP_SCAFFOLDS, FALLBACK_SCAFFOLD)
+    entries, _ = generate_scaffold_extensions(
+        scaffolds,
+        list(range(len(scaffolds))),
+        denoiser,
+        marginals,
+        schedule=CosineSchedule(timesteps=12),
+        seed=21,
+    )
+    return [to_smiles(entry.molecule) for entry in entries]
+
+
 def golden_extensions():
     """SMILES of every entry of one mixed-size call, per denoiser kind."""
     marginals = compute_marginals(_mols(*LOCKSTEP_DATASET))
-    scaffolds = _mols(*LOCKSTEP_SCAFFOLDS, FALLBACK_SCAFFOLD)
-    out = {}
-    for kind in ("marginal", "echo"):
-        entries, _ = generate_scaffold_extensions(
-            scaffolds,
-            list(range(len(scaffolds))),
-            _denoiser(kind, marginals),
-            marginals,
-            schedule=CosineSchedule(timesteps=12),
-            seed=21,
-        )
-        out[kind] = [to_smiles(entry.molecule) for entry in entries]
-    return out
+    return {
+        kind: _golden_smiles(_denoiser(kind, marginals), marginals)
+        for kind in ("marginal", "echo")
+    }
 
 
 def test_extensions_match_the_golden_smiles():
@@ -602,6 +704,40 @@ def test_extensions_match_the_golden_smiles():
     fallback = parse_smiles(FALLBACK_SCAFFOLD).n_atoms
     assert max(parse_smiles(s).n_atoms for s in LOCKSTEP_DATASET) < fallback
     assert got == golden
+
+
+def test_external_echo_extensions_match_the_golden_smiles():
+    # The child answers only the present pairs, so absent ones take the
+    # protocol's default row; the size fallback's chain is among them.
+    golden = json.loads(GOLDEN_EXTENSIONS.read_text(encoding="utf-8"))
+    marginals = compute_marginals(_mols(*LOCKSTEP_DATASET))
+    a = marginals.n_atom_types
+    with ExternalDenoiser(_echo_command("echo", a), a) as external:
+        assert _golden_smiles(external, marginals) == golden["echo"]
+
+
+def test_each_timestep_makes_one_denoiser_call_over_every_chain():
+    marginals = compute_marginals(_mols(*LOCKSTEP_DATASET))
+    scaffolds = _mols(*LOCKSTEP_SCAFFOLDS, FALLBACK_SCAFFOLD)
+    schedule = CosineSchedule(timesteps=12)
+    denoiser = RecordingDenoiser(MarginalDenoiser(marginals))
+    generate_scaffold_extensions(
+        scaffolds, list(range(len(scaffolds))), denoiser, marginals, schedule=schedule, seed=21
+    )
+    assert [t for t, _, _, _ in denoiser.calls] == list(range(12, 0, -1))
+    (sizes,) = {tuple(sizes) for _, _, _, sizes in denoiser.calls}
+    assert len(sizes) == len(scaffolds)
+    assert len(set(sizes)) > 2
+    for _, nodes, pairs, _ in denoiser.calls:
+        assert len(nodes) == sum(sizes)
+        assert len(pairs) == sum(n * (n - 1) // 2 for n in sizes)
+        for scaffold, (chain_nodes, chain_pairs) in zip(
+            scaffolds, split_stack(nodes, pairs, sizes)
+        ):
+            anchor_nodes, anchor_pairs = encode_molecule(scaffold, marginals)
+            _, ju = np.triu_indices(len(chain_nodes), k=1)
+            assert (chain_nodes[: scaffold.n_atoms] == anchor_nodes).all()
+            assert (chain_pairs[ju < scaffold.n_atoms] == anchor_pairs).all()
 
 
 @pytest.mark.parametrize("denoiser_kind", ["marginal", "echo"])
