@@ -23,15 +23,16 @@ non-negative, and each row must sum to one within 1e-5 + 1e-9 (the
 tolerance of ``np.allclose(sums, 1, atol=1e-9)``). Malformed traffic raises
 :class:`ProtocolError` with the offending line.
 
-``ExternalDenoiser`` walks the stack chain by chain, so consecutive
-requests interleave chains at each timestep: one request per chain at t,
-then one per chain at t - 1. Each request carries one whole graph and its
-t, so a child needs no memory of earlier requests.
+A run opens one ``ExternalDenoiser``, so one child, for all its splits. It
+sends a timestep's requests in stack order, one per chain and one in flight
+at a time, then decodes the replies together. Each request carries one
+whole graph and its t, so a child needs no memory of earlier requests.
 """
 
 from __future__ import annotations
 
 import contextlib
+import itertools
 import json
 import subprocess
 import threading
@@ -95,33 +96,110 @@ class OneHotEchoDenoiser:
         return np.eye(self._n_atom_types)[nodes], np.eye(N_EDGE_CATEGORIES)[pairs]
 
 
-def _request_line(t: int, nodes: np.ndarray, pairs: np.ndarray) -> str:
-    """One request line: a graph's present pairs, in ``upper_indices`` order."""
-    iu, ju = upper_indices(len(nodes))
+def _request_lines(t: int, nodes: np.ndarray, pairs: np.ndarray, sizes: Sequence[int]) -> list[str]:
+    """One request line per chain: its nodes and present pairs, in ``upper_indices`` order."""
+    iu, ju = (np.concatenate(part) for part in zip(*map(upper_indices, sizes)))
     present = np.flatnonzero(pairs != EDGE_NONE)
-    sparse_edges = np.stack([iu[present], ju[present], pairs[present]], axis=1).tolist()
-    request = {"t": int(t), "nodes": [int(v) for v in nodes], "edges": sparse_edges}
-    return json.dumps(request) + "\n"
+    edges = np.stack([iu[present], ju[present], pairs[present]], axis=1).tolist()
+    pair_bounds = list(itertools.accumulate((n * (n - 1) // 2 for n in sizes), initial=0))
+    edge_bounds = np.searchsorted(present, pair_bounds).tolist()
+    node_bounds = list(itertools.accumulate(sizes, initial=0))
+    node_ids = nodes.tolist()
+    return [
+        json.dumps({"t": int(t), "nodes": node_ids[a:b], "edges": edges[c:d]}) + "\n"
+        for a, b, c, d in zip(node_bounds, node_bounds[1:], edge_bounds, edge_bounds[1:])
+    ]
 
 
-def _check_rows(rows: np.ndarray, kind: str, line: str) -> None:
+def _check_rows(rows: np.ndarray, kind: str) -> None:
     sums = rows.sum(axis=1)
     if not ((rows >= 0).all() and np.isfinite(sums).all()):
-        raise ProtocolError(f"{kind} probabilities negative or not finite: {line.strip()!r}")
+        raise ValueError(f"{kind} probabilities negative or not finite")
     if not (np.abs(sums - 1.0) <= 1e-5 + 1e-9).all():
-        raise ProtocolError(f"{kind} probability rows do not sum to 1: {line.strip()!r}")
+        raise ValueError(f"{kind} probability rows do not sum to 1")
+
+
+def _row_width(rows: Sequence[object]) -> int | None:
+    """The one width of ``rows`` when each is a list and all are that long."""
+    if set(map(type, rows)) == {list} and len(widths := set(map(len, rows))) == 1:
+        return widths.pop()
+    return None
+
+
+def _decode(lines: Sequence[str], sizes: Sequence[int]) -> Rows:
+    """A stack's node rows and pair rows from its replies, one line per chain.
+
+    Each reply is parsed, checked for structure and flattened on its own. The
+    numeric checks, the "no edge" fill and the pair scatter run once over the
+    stack; when they fail, each reply is decoded alone to quote the bad one.
+    """
+    width, node_flat, ends_i, ends_j, edge_flat, counts = None, [], [], [], [], []
+    for line, n in zip(lines, sizes):
+        try:
+            payload = json.loads(line)
+            if not isinstance(payload, dict) or not isinstance(payload.get("node_probs"), list):
+                raise ValueError("no node_probs list")
+            node_probs, items = payload["node_probs"], payload.get("edge_probs") or []
+            if len(node_probs) != n:
+                raise ValueError(f"{len(node_probs)} node rows for {n} nodes")
+            if node_probs:
+                row_width = _row_width(node_probs)
+                width = row_width if width is None else width
+                if row_width is None or row_width != width:
+                    raise ValueError(f"node row shapes differ from ({width},)")
+            node_flat += itertools.chain.from_iterable(node_probs)
+            if items:
+                if not (isinstance(items, list) and _row_width(items) == 3):
+                    raise ValueError("edge entries must be [i, j, row] triples")
+                i, j, rows = zip(*items)
+                if _row_width(rows) != N_EDGE_CATEGORIES:
+                    raise ValueError(f"edge row shapes differ from ({N_EDGE_CATEGORIES},)")
+                ends_i += i
+                ends_j += j
+                edge_flat += itertools.chain.from_iterable(rows)
+            counts.append(len(items))
+        except json.JSONDecodeError as exc:
+            raise ProtocolError(f"invalid JSON from denoiser: {line.strip()!r}") from exc
+        except ValueError as exc:
+            raise ProtocolError(f"malformed denoiser response ({exc}): {line.strip()!r}") from exc
+    try:
+        node_rows = np.fromiter(node_flat, np.float64, len(node_flat)).reshape(sum(sizes), -1)
+        _check_rows(node_rows, "node")
+        pair_bounds = list(itertools.accumulate((n * (n - 1) // 2 for n in sizes), initial=0))
+        pair_rows = np.tile(np.eye(N_EDGE_CATEGORIES)[EDGE_NONE], (pair_bounds[-1], 1))
+        if not ends_i:
+            return node_rows, pair_rows
+        ends = np.array([ends_i, ends_j])
+        if ends.dtype.kind != "i":
+            raise ValueError("edge indices must be integers")
+        entry_n = np.repeat(sizes, counts)  # the node count of each entry's chain
+        if not ((ends >= 0) & (ends < entry_n)).all():
+            raise ValueError("edge index out of bounds")
+        edge_rows = np.fromiter(edge_flat, np.float64, len(edge_flat)).reshape(len(ends_i), -1)
+        _check_rows(edge_rows, "edge")
+    except (ValueError, TypeError, OverflowError) as exc:
+        if len(lines) > 1:
+            for line, n in zip(lines, sizes):
+                _decode([line], [n])
+        raise ProtocolError(f"malformed denoiser response ({exc}): {lines[0].strip()!r}") from exc
+    lo, hi = ends.min(axis=0), ends.max(axis=0)
+    pair = lo != hi
+    position = pair_position(lo, hi, entry_n) + np.repeat(pair_bounds[:-1], counts)
+    # In reply order, so a pair sent twice keeps its last row.
+    pair_rows[position[pair]] = edge_rows[pair]
+    return node_rows, pair_rows
 
 
 class ExternalDenoiser:
     """Bridges to a denoiser child process over line-delimited JSON.
 
-    The child is started lazily on first use and kept alive between calls;
-    access is serialized, one in-flight request at a time.
+    The child is started lazily on first use and kept alive between calls
+    until ``close``. Access is serialized, one in-flight request at a time;
+    a timestep's replies are decoded together once the last one is in.
     """
 
-    def __init__(self, command: Sequence[str], n_atom_types: int) -> None:
+    def __init__(self, command: Sequence[str]) -> None:
         self._command = list(command)
-        self._n_atom_types = n_atom_types
         self._lock = threading.Lock()
         self._proc: subprocess.Popen[str] | None = None
 
@@ -158,63 +236,18 @@ class ExternalDenoiser:
         self.close()
 
     def denoise(self, t: int, nodes: np.ndarray, pairs: np.ndarray, sizes: Sequence[int]) -> Rows:
-        """One request per chain, in stack order."""
-        node_rows, pair_rows = [], []
-        node_stop = pair_stop = 0
-        for n in sizes:
-            node_start, node_stop = node_stop, node_stop + n
-            pair_start, pair_stop = pair_stop, pair_stop + n * (n - 1) // 2
-            request = _request_line(t, nodes[node_start:node_stop], pairs[pair_start:pair_stop])
-            with self._lock:
-                proc = self._ensure_started()
-                try:
+        """One request per chain, in stack order; then the replies decoded together."""
+        replies = []
+        with self._lock:
+            proc = self._ensure_started()
+            try:
+                for request in _request_lines(t, nodes, pairs, sizes):
                     proc.stdin.write(request)
                     proc.stdin.flush()
                     line = proc.stdout.readline()
-                except (BrokenPipeError, OSError) as exc:
-                    raise ProtocolError(f"denoiser process pipe failed: {exc}") from exc
-            if not line:
-                raise ProtocolError("denoiser process closed its output stream")
-            try:
-                payload = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ProtocolError(f"invalid JSON from denoiser: {line.strip()!r}") from exc
-            chain_nodes, chain_pairs = self._decode(payload, line, n)
-            node_rows.append(chain_nodes)
-            pair_rows.append(chain_pairs)
-        return np.concatenate(node_rows), np.concatenate(pair_rows)
-
-    def _decode(self, payload: object, line: str, n: int) -> Rows:
-        """A reply's node rows and its pair rows in ``upper_indices(n)`` order."""
-        if not isinstance(payload, dict) or "node_probs" not in payload:
-            raise ProtocolError(f"malformed denoiser response: {line.strip()!r}")
-        pair_rows = np.zeros((n * (n - 1) // 2, N_EDGE_CATEGORIES))
-        pair_rows[:, EDGE_NONE] = 1.0
-        try:
-            node_probs = np.asarray(payload["node_probs"], dtype=np.float64)
-            items = payload.get("edge_probs", [])
-            if items:
-                if not all(isinstance(item, list) and len(item) == 3 for item in items):
-                    raise ValueError("edge entries must be [i, j, row] triples")
-                i, j, rows = zip(*items)
-                ends = np.asarray([i, j])
-                rows = np.asarray(rows, dtype=np.float64)
-                if ends.dtype.kind != "i":
-                    raise ValueError("edge indices must be integers")
-                if rows.shape != (len(items), N_EDGE_CATEGORIES):
-                    raise ValueError(f"edge rows have shape {rows.shape}")
-                if not ((ends >= 0) & (ends < n)).all():
-                    raise ValueError(f"edge index out of bounds for {n} nodes")
-                _check_rows(rows, "edge", line)
-                lo, hi = ends.min(axis=0), ends.max(axis=0)
-                pair = lo != hi
-                # In reply order, so a pair sent twice keeps its last row.
-                pair_rows[pair_position(lo[pair], hi[pair], n)] = rows[pair]
-        except (ValueError, TypeError) as exc:
-            raise ProtocolError(f"malformed denoiser response ({exc}): {line.strip()!r}") from exc
-        if node_probs.shape != (n, self._n_atom_types):
-            raise ProtocolError(
-                f"node_probs shape {node_probs.shape}, expected ({n}, {self._n_atom_types})"
-            )
-        _check_rows(node_probs, "node", line)
-        return node_probs, pair_rows
+                    if not line:
+                        raise ProtocolError("denoiser process closed its output stream")
+                    replies.append(line)
+            except (BrokenPipeError, OSError) as exc:
+                raise ProtocolError(f"denoiser process pipe failed: {exc}") from exc
+        return _decode(replies, sizes)

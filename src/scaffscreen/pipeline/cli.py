@@ -14,6 +14,7 @@ import sys
 from pathlib import Path
 
 from ..chem import MolGraph, ParseError, parse_smiles
+from ..diffusion import ProtocolError
 from ..metrics import RankedList, write_metric_report
 from ..selftrain import load_checkpoint, predict
 from .config import ConfigError, RunConfig, load_config, resolve_overrides
@@ -21,6 +22,7 @@ from .ingest import AssayRecord, HeaderError, ingest
 from .runner import (
     cell_metrics,
     derive_seed,
+    open_denoiser,
     read_generated_pool,
     read_scores_csv,
     rebuild_report,
@@ -36,6 +38,7 @@ _KNOWN_ERRORS = (
     ConfigError,
     HeaderError,
     ParseError,
+    ProtocolError,
     TooFewScaffolds,
     FileNotFoundError,
     ValueError,
@@ -106,7 +109,8 @@ def cmd_augment(args: argparse.Namespace) -> int:
     config = _resolve(args)
     seed = derive_seed(config.seed, "augment", args.split_index)
     out = Path(args.out)
-    products = write_augmentation(out, _folds(config, args)["train"], config, seed)
+    with open_denoiser(config) as external:
+        products = write_augmentation(out, _folds(config, args)["train"], config, seed, external)
     total = products.report.total if products.report else 0
     n_valid = products.report.n_valid if products.report else 0
     print(f"generated {total} molecules, {n_valid} valid; artifacts in {out}")

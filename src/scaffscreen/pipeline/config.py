@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import configparser
 import io
+import shlex
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -71,9 +72,7 @@ class RunConfig:
             raise ConfigError(f"unknown split scheme {self.scheme!r}")
         if self.sampling not in ("balanced", "uniform"):
             raise ConfigError(f"unknown sampling mode {self.sampling!r}")
-        if not (
-            self.denoiser in ("marginal", "echo") or self.denoiser.startswith("external:")
-        ):
+        if not (self.denoiser in ("marginal", "echo") or self.denoiser.startswith("external:")):
             raise ConfigError(f"unknown denoiser {self.denoiser!r}")
         if not 0.0 < self.library_fraction <= 1.0:
             raise ConfigError("library_fraction must lie in (0, 1]")
@@ -93,8 +92,16 @@ class RunConfig:
             for lam in self.lambda_grid:
                 check_lambda(lam)
             self.train_config()
+            if self.denoiser.startswith("external:") and not self.external_command():
+                raise ValueError(f"denoiser {self.denoiser!r} names no command")
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+
+    def external_command(self) -> list[str] | None:
+        """The argv of an ``external:<command>`` denoiser; None for any other spec."""
+        if not self.denoiser.startswith("external:"):
+            return None
+        return shlex.split(self.denoiser[len("external:"):]) or None  # ValueError: open quote
 
     def train_config(self, seed: int = 0) -> SelfTrainConfig:
         """The self-training settings of one cell, drawing from ``seed``."""

@@ -29,11 +29,11 @@ Layout::
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import json
 import platform
-import shlex
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -99,6 +99,7 @@ __all__ = [
     "augment_split",
     "cell_metrics",
     "derive_seed",
+    "open_denoiser",
     "read_generated_pool",
     "read_scores_csv",
     "rebuild_report",
@@ -143,15 +144,18 @@ class AugmentProducts:
     note: str | None = None
 
 
+def open_denoiser(config: RunConfig) -> contextlib.AbstractContextManager[ExternalDenoiser | None]:
+    """The run's one external denoiser, closed when the ``with`` exits; else None."""
+    command = config.external_command()
+    return contextlib.nullcontext() if command is None else ExternalDenoiser(command)
+
+
 def _make_denoiser(spec: str, marginals):
     if spec == "marginal":
         return MarginalDenoiser(marginals)
     if spec == "echo":
         return OneHotEchoDenoiser(len(marginals.atom_types))
-    if spec.startswith("external:"):
-        command = shlex.split(spec[len("external:"):])
-        return ExternalDenoiser(command, len(marginals.atom_types))
-    raise ValueError(f"unknown denoiser {spec!r}")
+    raise ValueError(f"denoiser {spec!r} is opened once per run with open_denoiser")
 
 
 def _uniform_instance_weights(model: ClusterModel) -> SamplingWeights:
@@ -171,8 +175,12 @@ def augment_split(
     train_records: Sequence[AssayRecord],
     config: RunConfig,
     seed: int,
+    external: ExternalDenoiser | None = None,
 ) -> AugmentProducts:
-    """Cluster the training actives' scaffolds and generate extensions."""
+    """Cluster the training actives' scaffolds and generate extensions.
+
+    ``external`` is the run's ``open_denoiser``, which an external spec needs.
+    """
     actives = [r for r in train_records if r.label == 1]
     scaffolds: list[MolGraph] = []
     for record in actives:
@@ -215,21 +223,15 @@ def augment_split(
 
     train_mols = [r.mol for r in train_records]
     marginals = compute_marginals(train_mols)
-    denoiser = _make_denoiser(config.denoiser, marginals)
-    schedule = CosineSchedule(config.timesteps)
-    try:
-        entries, report = generate_scaffold_extensions(
-            [e.scaffold for e in library.entries],
-            [e.cluster_id for e in library.entries],
-            denoiser,
-            marginals,
-            schedule=schedule,
-            seed=derive_seed(seed, "extend"),
-        )
-    finally:
-        close = getattr(denoiser, "close", None)
-        if close is not None:
-            close()
+    denoiser = external if external is not None else _make_denoiser(config.denoiser, marginals)
+    entries, report = generate_scaffold_extensions(
+        [e.scaffold for e in library.entries],
+        [e.cluster_id for e in library.entries],
+        denoiser,
+        marginals,
+        schedule=CosineSchedule(config.timesteps),
+        seed=derive_seed(seed, "extend"),
+    )
 
     pool = [e.molecule for e in entries if e.valid]
     valid_counts = [0] * model.k
@@ -253,12 +255,13 @@ def write_augmentation(
     train_records: Sequence[AssayRecord],
     config: RunConfig,
     seed: int,
+    external: ExternalDenoiser | None = None,
 ) -> AugmentProducts:
     """Augment one split and write its library.csv, generated.csv and report.
 
     ``library.csv`` is left out when no library was drawn.
     """
-    products = augment_split(train_records, config, seed)
+    products = augment_split(train_records, config, seed, external)
     out_dir.mkdir(parents=True, exist_ok=True)
     if products.library is not None:
         write_library_csv(out_dir / "library.csv", products.library)
@@ -575,31 +578,32 @@ def run_experiment(config: RunConfig, run_dir: str | Path | None = None) -> Path
     plan.to_json(run_dir / "splits.json")
     seeds = stage_seeds(config, len(plan.splits))
 
-    for i, split in enumerate(plan.splits):
-        split_dir = run_dir / "splits" / f"split{i}"
-        train_records = [by_id[rid] for rid in split.train_ids]
-        valid_records = [by_id[rid] for rid in split.valid_ids]
-        test_records = [by_id[rid] for rid in split.test_ids]
-        mols_by_id = {r.record_id: r.mol for r in test_records}
+    with open_denoiser(config) as external:
+        for i, split in enumerate(plan.splits):
+            split_dir = run_dir / "splits" / f"split{i}"
+            train_records = [by_id[rid] for rid in split.train_ids]
+            valid_records = [by_id[rid] for rid in split.valid_ids]
+            test_records = [by_id[rid] for rid in split.test_ids]
+            mols_by_id = {r.record_id: r.mol for r in test_records}
 
-        pool: list[MolGraph] = []
-        if config.augment_enabled:
-            aug_seed = seeds["augment"][str(i)]
-            pool = write_augmentation(split_dir, train_records, config, aug_seed).pool
+            pool: list[MolGraph] = []
+            if config.augment_enabled:
+                aug_seed = seeds["augment"][str(i)]
+                pool = write_augmentation(split_dir, train_records, config, aug_seed, external).pool
 
-        cell_dirs = [split_dir / f"seed{j}" for j in range(config.eval_seeds)]
-        cells = train_cells(
-            cell_dirs, train_records, valid_records, pool, config, seeds["train"][str(i)]
-        )
-        for cell_dir, (model, _) in zip(cell_dirs, cells):
-            test_scores = predict(model, [r.mol for r in test_records])
-            rows = [
-                (r.record_id, r.smiles, float(s), r.label)
-                for r, s in zip(test_records, test_scores)
-            ]
-            write_scores_csv(cell_dir / "scores.csv", rows)
-            ranked = RankedList.from_records((r, s, y) for r, _, s, y in rows)
-            rerank_cell(cell_dir / "rerank.csv", ranked, mols_by_id, config)
+            cell_dirs = [split_dir / f"seed{j}" for j in range(config.eval_seeds)]
+            cells = train_cells(
+                cell_dirs, train_records, valid_records, pool, config, seeds["train"][str(i)]
+            )
+            for cell_dir, (model, _) in zip(cell_dirs, cells):
+                test_scores = predict(model, [r.mol for r in test_records])
+                rows = [
+                    (r.record_id, r.smiles, float(s), r.label)
+                    for r, s in zip(test_records, test_scores)
+                ]
+                write_scores_csv(cell_dir / "scores.csv", rows)
+                ranked = RankedList.from_records((r, s, y) for r, _, s, y in rows)
+                rerank_cell(cell_dir / "rerank.csv", ranked, mols_by_id, config)
 
     _write_report(run_dir, config, config_text, assay, len(plan.splits))
     return run_dir

@@ -10,11 +10,15 @@ Modes, chosen by argv[1]:
   outside   an edge entry whose index is the node count
   negative  a node row [1.5, -0.5, 0, ...] that sums to one
   linger    echo, but stay alive for a minute after stdin closes
+argv[2] is the atom-type count. When the environment names a file in
+``ECHO_DENOISER_PIDS``, the child appends its process id there, so a test
+can count the children a run starts and check that they have exited.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import sys
 import time
 
@@ -53,6 +57,10 @@ def _respond(request: dict, mode: str, n_atom_types: int) -> str:
 def main() -> int:
     mode = sys.argv[1] if len(sys.argv) > 1 else "echo"
     n_atom_types = int(sys.argv[2]) if len(sys.argv) > 2 else 1
+    pid_file = os.environ.get("ECHO_DENOISER_PIDS")
+    if pid_file:
+        with open(pid_file, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()}\n")
     for line in sys.stdin:
         line = line.strip()
         if not line:

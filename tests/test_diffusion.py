@@ -27,7 +27,7 @@ from scaffscreen.diffusion import (
 )
 from scaffscreen.diffusion import denoisers as denoisers_module
 from scaffscreen.diffusion import sampler as sampler_module
-from scaffscreen.diffusion.denoisers import _request_line
+from scaffscreen.diffusion.denoisers import _decode, _request_lines
 
 from helpers.chain_stack import split_stack
 
@@ -399,7 +399,7 @@ def test_external_denoiser_round_trip_matches_in_process_echo():
     nodes = np.concatenate([benzene_nodes, ethanol_nodes])
     pairs = np.concatenate([benzene_pairs, ethanol_pairs])
     a = marginals.n_atom_types
-    with ExternalDenoiser(_echo_command("echo", a), a) as external:
+    with ExternalDenoiser(_echo_command("echo", a)) as external:
         got = external.denoise(3, nodes, pairs, [6, 3])
         again = external.denoise(2, nodes, pairs, [6, 3])
     want = OneHotEchoDenoiser(a).denoise(3, nodes, pairs, [6, 3])
@@ -411,7 +411,7 @@ def test_external_denoiser_round_trip_matches_in_process_echo():
 def test_external_denoiser_rejects_non_json():
     nodes = np.array([0, 1])
     pairs = np.zeros(1, dtype=np.int64)
-    with ExternalDenoiser(_echo_command("garbage", 2), 2) as external:
+    with ExternalDenoiser(_echo_command("garbage", 2)) as external:
         with pytest.raises(ProtocolError, match="invalid JSON"):
             external.denoise(1, nodes, pairs, [2])
 
@@ -419,7 +419,7 @@ def test_external_denoiser_rejects_non_json():
 def test_external_denoiser_rejects_bad_probability_rows():
     nodes = np.array([0, 1])
     pairs = np.zeros(1, dtype=np.int64)
-    with ExternalDenoiser(_echo_command("badrow", 2), 2) as external:
+    with ExternalDenoiser(_echo_command("badrow", 2)) as external:
         with pytest.raises(ProtocolError, match="sum to 1"):
             external.denoise(1, nodes, pairs, [2])
 
@@ -428,9 +428,13 @@ def test_external_denoiser_rejects_negative_probabilities():
     # The child's first node row is [1.5, -0.5], which sums to one.
     nodes = np.array([0, 1])
     pairs = np.zeros(1, dtype=np.int64)
-    with ExternalDenoiser(_echo_command("negative", 2), 2) as external:
+    with ExternalDenoiser(_echo_command("negative", 2)) as external:
         with pytest.raises(ProtocolError, match="negative or not finite"):
             external.denoise(1, nodes, pairs, [2])
+
+
+# A clean reply for a one-node chain, stacked before the reply under test.
+CLEAN_REPLY = json.dumps({"node_probs": [[1.0, 0.0]], "edge_probs": []})
 
 
 @pytest.mark.parametrize(
@@ -445,28 +449,53 @@ def test_external_denoiser_rejects_negative_probabilities():
 def test_external_decode_rejects_negative_or_non_finite_entries(node_row, edge_row):
     payload = {"node_probs": [node_row, [0.0, 1.0]], "edge_probs": [[0, 1, edge_row]]}
     with pytest.raises(ProtocolError, match="negative or not finite"):
-        ExternalDenoiser(["unused"], 2)._decode(payload, "", 2)
+        _decode([CLEAN_REPLY, json.dumps(payload)], [1, 2])
 
 
 @pytest.mark.parametrize(("offset", "accepted"), [(5e-6, True), (2e-5, False)])
 def test_external_decode_keeps_the_row_sum_tolerance(offset, accepted):
     # np.allclose(sums, 1, atol=1e-9) passes sums within 1e-5 + 1e-9 of one.
     payload = {"node_probs": [[1.0 - offset, 2 * offset], [0.0, 1.0]], "edge_probs": []}
-    external = ExternalDenoiser(["unused"], 2)
+    lines = [CLEAN_REPLY, json.dumps(payload)]
     if accepted:
-        external._decode(payload, "", 2)
+        _decode(lines, [1, 2])
     else:
         with pytest.raises(ProtocolError, match="sum to 1"):
-            external._decode(payload, "", 2)
+            _decode(lines, [1, 2])
+
+
+def test_external_decode_quotes_the_bad_reply_of_a_stack():
+    good = json.dumps({"node_probs": [[1.0, 0.0], [0.0, 1.0]], "edge_probs": []})
+    bad_node = json.dumps({"node_probs": [[0.7, 0.7], [0.0, 1.0]], "edge_probs": []})
+    bad_edge = json.dumps(
+        {"node_probs": [[1.0, 0.0], [0.0, 1.0]], "edge_probs": [[1, 0, [0.5, 0.0, 0.0, 0.0, 0.0]]]}
+    )
+    for bad in (bad_node, bad_edge):
+        with pytest.raises(ProtocolError, match="sum to 1") as caught:
+            _decode([good, bad, good], [2, 2, 2])
+        assert str(caught.value).endswith(repr(bad))
+
+
+def test_external_decode_rejects_replies_that_disagree_on_width():
+    two_wide = json.dumps({"node_probs": [[1.0, 0.0]]})
+    three_wide = json.dumps({"node_probs": [[1.0, 0.0, 0.0]]})
+    with pytest.raises(ProtocolError, match="shape") as caught:
+        _decode([two_wide, three_wide], [1, 1])
+    assert str(caught.value).endswith(repr(three_wide))
+    with pytest.raises(ProtocolError, match="node rows for 2 nodes"):
+        _decode([two_wide, two_wide], [1, 2])
 
 
 def test_external_denoiser_rejects_shape_mismatch():
-    nodes = np.array([0, 1])
-    pairs = np.zeros(1, dtype=np.int64)
-    # The child answers with three-wide rows while two are expected.
-    with ExternalDenoiser(_echo_command("echo", 3), 2) as external:
-        with pytest.raises(ProtocolError, match="shape"):
-            external.denoise(1, nodes, pairs, [2])
+    # The child answers with rows one category wider than the deck's, which
+    # the engine's row-shape check rejects.
+    marginals = compute_marginals(_mols("CCO", "c1ccccc1"))
+    command = _echo_command("echo", marginals.n_atom_types + 1)
+    with ExternalDenoiser(command) as external:
+        with pytest.raises(ValueError, match="row shapes"):
+            generate_scaffold_extensions(
+                _mols("c1ccccc1"), [0], external, marginals, CosineSchedule(timesteps=2)
+            )
 
 
 @pytest.mark.parametrize(
@@ -479,7 +508,7 @@ def test_external_denoiser_rejects_malformed_edge_entries(mode, message):
     marginals = compute_marginals(_mols("CCO", "c1ccccc1"))
     nodes, pairs = encode_molecule(parse_smiles("c1ccccc1"), marginals)
     a = marginals.n_atom_types
-    with ExternalDenoiser(_echo_command(mode, a), a) as external:
+    with ExternalDenoiser(_echo_command(mode, a)) as external:
         with pytest.raises(ProtocolError, match=message):
             external.denoise(1, nodes, pairs, [6])
 
@@ -487,20 +516,24 @@ def test_external_denoiser_rejects_malformed_edge_entries(mode, message):
 def test_external_decode_matches_a_loop_over_entries():
     # Entries may repeat a pair in either orientation; the last one wins in
     # both cells, as when each entry is written in turn. A diagonal entry
-    # lands on no pair.
+    # lands on no pair. A second chain's entries land in its own pairs.
     single, double, triple = ([float(k == c) for k in range(5)] for c in (1, 2, 3))
-    entries = [
-        [0, 1, single], [2, 0, triple], [1, 0, double], [3, 2, single], [0, 2, double],
-        [1, 1, triple],
+    stack = [
+        (4, [[0, 1, single], [2, 0, triple], [1, 0, double], [3, 2, single], [0, 2, double],
+             [1, 1, triple]]),
+        (3, [[2, 1, double], [0, 0, single], [1, 2, triple]]),
     ]
-    payload = {"node_probs": [[1.0]] * 4, "edge_probs": entries}
-    _, got = ExternalDenoiser(["unused"], 1)._decode(payload, "", 4)
-    want = np.zeros((4, 4, 5))
-    want[:, :, EDGE_NONE] = 1.0
-    for i, j, row in entries:
-        want[i, j] = row
-        want[j, i] = row
-    assert np.array_equal(got, want[np.triu_indices(4, k=1)])
+    lines = [json.dumps({"node_probs": [[1.0]] * n, "edge_probs": e}) for n, e in stack]
+    _, got = _decode(lines, [n for n, _ in stack])
+    want = []
+    for n, entries in stack:
+        cells = np.zeros((n, n, 5))
+        cells[:, :, EDGE_NONE] = 1.0
+        for i, j, row in entries:
+            cells[i, j] = row
+            cells[j, i] = row
+        want.append(cells[np.triu_indices(n, k=1)])
+    assert np.array_equal(got, np.concatenate(want))
 
 
 def test_external_request_matches_a_loop_over_pairs():
@@ -515,20 +548,25 @@ def test_external_request_matches_a_loop_over_pairs():
         return json.dumps({"t": int(t), "nodes": [int(v) for v in nodes], "edges": sparse}) + "\n"
 
     rng = np.random.default_rng(8)
-    for n in (1, 2, 3, 7, 15, 30):
-        for density in (0.0, 0.3, 1.0):
+    for _ in range(20):
+        # A stack mixes 1- and 2-node chains with larger ones, some without edges.
+        sizes = rng.choice([1, 2, 3, 7, 15, 30], size=int(rng.integers(1, 6))).tolist()
+        chains = []
+        for n in sizes:
+            density = rng.choice([0.0, 0.3, 1.0])
             upper = np.triu(rng.integers(1, 5, (n, n)) * (rng.random((n, n)) < density), 1)
-            edges = upper + upper.T
-            pairs = edges[np.triu_indices(n, k=1)]
-            nodes = rng.integers(0, 6, n)
-            t = int(rng.integers(1, 50))
-            assert _request_line(t, nodes, pairs) == loop_request(t, nodes, edges)
+            chains.append((rng.integers(0, 6, n), upper + upper.T))
+        nodes = np.concatenate([chain_nodes for chain_nodes, _ in chains])
+        pairs = np.concatenate([edges[np.triu_indices(len(edges), k=1)] for _, edges in chains])
+        t = int(rng.integers(1, 50))
+        want = [loop_request(t, chain_nodes, edges) for chain_nodes, edges in chains]
+        assert _request_lines(t, nodes, pairs, sizes) == want
 
 
 def test_external_denoiser_restarts_after_close():
     nodes = np.array([0])
     pairs = np.zeros(0, dtype=np.int64)
-    external = ExternalDenoiser(_echo_command("echo", 2), 2)
+    external = ExternalDenoiser(_echo_command("echo", 2))
     first = external.denoise(1, nodes, pairs, [1])
     external.close()
     second = external.denoise(1, nodes, pairs, [1])
@@ -539,7 +577,7 @@ def test_external_denoiser_restarts_after_close():
 
 def test_external_denoiser_close_kills_a_child_that_ignores_eof(monkeypatch):
     monkeypatch.setattr(denoisers_module, "CLOSE_TIMEOUT_S", 0.2)
-    external = ExternalDenoiser(_echo_command("linger", 2), 2)
+    external = ExternalDenoiser(_echo_command("linger", 2))
     try:
         external.denoise(1, np.array([0]), np.zeros(0, dtype=np.int64), [1])
         proc = external._proc
@@ -712,7 +750,7 @@ def test_external_echo_extensions_match_the_golden_smiles():
     golden = json.loads(GOLDEN_EXTENSIONS.read_text(encoding="utf-8"))
     marginals = compute_marginals(_mols(*LOCKSTEP_DATASET))
     a = marginals.n_atom_types
-    with ExternalDenoiser(_echo_command("echo", a), a) as external:
+    with ExternalDenoiser(_echo_command("echo", a)) as external:
         assert _golden_smiles(external, marginals) == golden["echo"]
 
 

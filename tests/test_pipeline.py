@@ -3,8 +3,11 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import os
 import platform
+import shlex
 import shutil
+import sys
 import warnings
 from collections import Counter
 from pathlib import Path
@@ -14,6 +17,7 @@ import pytest
 
 from scaffscreen.chem import check_valence, murcko_scaffold, parse_smiles, to_smiles
 from scaffscreen.chem import scaffold as scaffold_module
+from scaffscreen.diffusion import ProtocolError
 from scaffscreen.pipeline.cli import main
 from scaffscreen.pipeline.config import (
     ConfigError,
@@ -196,6 +200,9 @@ def test_missing_config_file_is_an_error(tmp_path):
         ({"lr_decay_power": -0.5}, "lr_decay_power"),
         ({"lr_decay_power": float("nan")}, "lr_decay_power"),
         ({"lr_decay_power": float("inf")}, "lr_decay_power"),
+        ({"denoiser": "external:"}, "names no command"),
+        ({"denoiser": "external:   "}, "names no command"),
+        ({"denoiser": 'external:"python3 x'}, "No closing quotation"),
     ],
 )
 def test_semantic_validation_of_fields(kwargs, match):
@@ -211,8 +218,9 @@ def test_each_cell_trains_under_the_run_settings():
 
 
 def test_external_denoiser_spec_is_accepted():
-    config = RunConfig(denoiser="external:python3 helper.py")
-    assert config.denoiser.startswith("external:")
+    config = RunConfig(denoiser="external:python3 'my helper.py' --fast")
+    assert config.external_command() == ["python3", "my helper.py", "--fast"]
+    assert RunConfig(denoiser="echo").external_command() is None
 
 
 def test_resolve_overrides_skips_none_and_applies_values():
@@ -1005,6 +1013,45 @@ def test_rerank_fingerprints_only_the_kept_candidates(monkeypatch, tmp_path):
     assert len(fingerprinted) == 6
 
 
+# --- external denoiser runs -----------------------------------------------
+
+ECHO_HELPER = Path(__file__).parent / "helpers" / "echo_denoiser.py"
+
+
+def _external_spec(mode: str) -> str:
+    # The mini deck's training folds have ten atom types.
+    return "external:" + shlex.join([sys.executable, str(ECHO_HELPER), mode, "10"])
+
+
+def _child_pids(path: Path) -> list[int]:
+    return [int(line) for line in path.read_text(encoding="utf-8").split()]
+
+
+def test_external_run_matches_echo_and_starts_one_child(mini_config, tmp_path, monkeypatch):
+    pids = tmp_path / "pids.txt"
+    monkeypatch.setenv("ECHO_DENOISER_PIDS", str(pids))
+    echo = run_experiment(dataclasses.replace(mini_config, denoiser="echo"), tmp_path / "echo")
+    external = run_experiment(
+        dataclasses.replace(mini_config, denoiser=_external_spec("echo")), tmp_path / "external"
+    )
+    generated = sorted(p.relative_to(echo) for p in echo.glob("splits/split*/generated.csv"))
+    assert len(generated) == 5
+    for rel in generated:
+        assert (external / rel).read_bytes() == (echo / rel).read_bytes()
+    assert len(_child_pids(pids)) == 1
+
+
+def test_external_run_protocol_error_stops_its_child(mini_config, tmp_path, monkeypatch):
+    pids = tmp_path / "pids.txt"
+    monkeypatch.setenv("ECHO_DENOISER_PIDS", str(pids))
+    config = dataclasses.replace(mini_config, denoiser=_external_spec("garbage"))
+    with pytest.raises(ProtocolError, match="invalid JSON"):
+        run_experiment(config, tmp_path / "run")
+    (pid,) = _child_pids(pids)
+    with pytest.raises(ProcessLookupError):
+        os.kill(pid, 0)
+
+
 # --- command line ---------------------------------------------------------
 
 
@@ -1202,6 +1249,35 @@ def test_cli_reports_known_errors_on_stderr(tmp_path, capsys):
     )
     assert rc == 2
     assert "unknown config section" in capsys.readouterr().err
+
+
+def test_cli_reports_a_protocol_error(mini_assay_csv, cli_ini, tmp_path, capsys):
+    base = ["--config", str(cli_ini), "--assay", str(mini_assay_csv)]
+    splits = tmp_path / "splits.json"
+    assert main(["split", *base, "--out", str(splits)]) == 0
+    capsys.readouterr()
+    rc = main(
+        [
+            "augment",
+            *base,
+            "--splits",
+            str(splits),
+            "--denoiser",
+            _external_spec("garbage"),
+            "--out",
+            str(tmp_path / "aug"),
+        ]
+    )
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: invalid JSON from denoiser")
+
+
+def test_cli_run_rejects_an_empty_external_command(mini_assay_csv, tmp_path, capsys):
+    out = tmp_path / "run"
+    rc = main(["run", "--assay", str(mini_assay_csv), "--denoiser", "external:", "--out", str(out)])
+    assert rc == 2
+    assert "names no command" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_too_few_scaffolds_is_a_clean_failure(tmp_path, capsys):
