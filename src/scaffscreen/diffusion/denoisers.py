@@ -194,8 +194,10 @@ class ExternalDenoiser:
     """Bridges to a denoiser child process over line-delimited JSON.
 
     The child is started lazily on first use and kept alive between calls
-    until ``close``. Access is serialized, one in-flight request at a time;
-    a timestep's replies are decoded together once the last one is in.
+    until ``close``; a child that exits before then fails the next call
+    rather than being replaced. Access is serialized, one in-flight request
+    at a time; a timestep's replies are decoded together once the last one
+    is in.
     """
 
     def __init__(self, command: Sequence[str]) -> None:
@@ -204,7 +206,8 @@ class ExternalDenoiser:
         self._proc: subprocess.Popen[str] | None = None
 
     def _ensure_started(self) -> subprocess.Popen[str]:
-        if self._proc is None or self._proc.poll() is not None:
+        """The open child, started if none is open; one that has exited is an error."""
+        if self._proc is None:
             self._proc = subprocess.Popen(
                 self._command,
                 stdin=subprocess.PIPE,
@@ -212,6 +215,8 @@ class ExternalDenoiser:
                 text=True,
                 bufsize=1,
             )
+        elif self._proc.poll() is not None:
+            raise ProtocolError(f"denoiser process exited with code {self._proc.returncode}")
         return self._proc
 
     def close(self) -> None:

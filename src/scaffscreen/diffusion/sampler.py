@@ -32,6 +32,18 @@ two pair rows: a one-row block goes through BLAS's matrix-vector kernel
 when run alone, which may round its last bit otherwise. A scaffold is a
 ring system and the drawn size exceeds it, so a pipeline chain has at
 least four nodes and six pairs.
+
+A chain draws its uniforms for ``UNIFORM_BLOCK_STEPS`` steps at a time, in
+one call: one ``random(steps * draws)`` call yields the same stream as
+``steps`` calls of ``random(draws)``. The block's buffer holds each chain's
+run in turn, and one gather per block lays it out as (step, position) for
+the node stack and for the pair stack.
+
+A draw inverts the row's cdf at its uniform one category column at a time:
+the running sums are the additions ``np.cumsum(axis=1)`` makes, in the same
+order, each is divided by the row total, and the rows still below their
+uniform are counted. The last column's quotient is 1.0 or NaN, never below
+a uniform, so it is not formed.
 """
 
 from __future__ import annotations
@@ -62,6 +74,7 @@ logger = logging.getLogger(__name__)
 
 SIZE_REJECTION_LIMIT = 100
 SIZE_FALLBACK_MARGIN = 5
+UNIFORM_BLOCK_STEPS = 10
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -114,10 +127,13 @@ def posterior_distributions(
 
 
 def _sample_rows(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """One categorical draw per row, by inverting its cdf at the uniform ``u``."""
-    cdf = np.cumsum(probs, axis=1)
-    cdf /= cdf[:, -1:]
-    return (cdf < u[:, None]).sum(axis=1)
+    """One categorical draw per row, by inverting its cdf at the uniform ``u`` in [0, 1)."""
+    partials = list(itertools.accumulate(probs.T))
+    total = partials.pop()
+    draws = np.zeros(len(u), dtype=np.intp)
+    for partial in partials:
+        draws += partial / total < u
+    return draws
 
 
 def _bounds(counts: Iterable[int]) -> list[int]:
@@ -169,10 +185,18 @@ def _run_chains(
     n_pairs = [n * (n - 1) // 2 for n in sizes]
     node_bounds = _bounds(sizes)
     pair_bounds = _bounds(n_pairs)
-    draw_bounds = _bounds(n + m for n, m in zip(sizes, n_pairs))
-    # A chain's uniforms start after every earlier chain's nodes and pairs.
-    node_draws = np.arange(node_bounds[-1]) + np.repeat(pair_bounds[:-1], sizes)
-    pair_draws = np.arange(pair_bounds[-1]) + np.repeat(node_bounds[1:], n_pairs)
+    draws = np.array([n + m for n, m in zip(sizes, n_pairs)])
+    draw_bounds = _bounds(draws)
+    # Within a step, a chain's uniforms start after every earlier chain's
+    # nodes and pairs. In stack order (every node, then every pair), position
+    # i takes uniform step_draw[i] of a step, drawn by chain chain_of[i].
+    step_draw = np.concatenate(
+        [
+            np.arange(node_bounds[-1]) + np.repeat(pair_bounds[:-1], sizes),
+            np.arange(pair_bounds[-1]) + np.repeat(node_bounds[1:], n_pairs),
+        ]
+    )
+    chain_of = np.repeat(np.tile(np.arange(len(sizes)), 2), sizes + n_pairs)
     node_fixed = np.concatenate(node_fixed)
     pair_fixed = np.concatenate(pair_fixed)
     # In stack order, a chain's fixed nodes and pairs are its scaffold's encoding.
@@ -182,19 +206,29 @@ def _run_chains(
     pairs[pair_fixed] = pair_anchor
     want = ((len(nodes), marginals.n_atom_types), (len(pairs), marginals.n_edge_types))
 
-    for t in range(schedule.timesteps, 0, -1):
-        node_pred, pair_pred = denoiser.denoise(t, nodes, pairs, sizes)
-        if (node_pred.shape, pair_pred.shape) != want:
-            raise ValueError(f"denoiser row shapes {node_pred.shape, pair_pred.shape}, not {want}")
-        node_post = posterior_distributions(t, nodes, node_pred, marginals.node_prior, schedule)
-        pair_post = posterior_distributions(t, pairs, pair_pred, marginals.edge_prior, schedule)
-        uniforms = np.empty(draw_bounds[-1])
+    steps = range(schedule.timesteps, 0, -1)
+    for first in range(0, len(steps), UNIFORM_BLOCK_STEPS):
+        block = steps[first : first + UNIFORM_BLOCK_STEPS]
+        # Chain c draws the whole block's uniforms as one run, which starts
+        # at n_steps * draw_bounds[c]; its step s starts s * draws[c] into it.
+        n_steps = len(block)
+        uniforms = np.empty(n_steps * draw_bounds[-1])
         for rng, start, stop in zip(rngs, draw_bounds, draw_bounds[1:]):
-            rng.random(out=uniforms[start:stop])
-        nodes = _sample_rows(node_post, uniforms[node_draws])
-        pairs = _sample_rows(pair_post, uniforms[pair_draws])
-        nodes[node_fixed] = node_anchor
-        pairs[pair_fixed] = pair_anchor
+            rng.random(out=uniforms[n_steps * start : n_steps * stop])
+        shift = np.arange(n_steps)[:, None] * draws + (n_steps - 1) * np.array(draw_bounds[:-1])
+        block_uniforms = uniforms[step_draw + shift[:, chain_of]]
+        for t, step_uniforms in zip(block, block_uniforms):
+            node_pred, pair_pred = denoiser.denoise(t, nodes, pairs, sizes)
+            if (node_pred.shape, pair_pred.shape) != want:
+                raise ValueError(
+                    f"denoiser row shapes {node_pred.shape, pair_pred.shape}, not {want}"
+                )
+            node_post = posterior_distributions(t, nodes, node_pred, marginals.node_prior, schedule)
+            pair_post = posterior_distributions(t, pairs, pair_pred, marginals.edge_prior, schedule)
+            nodes = _sample_rows(node_post, step_uniforms[: node_bounds[-1]])
+            pairs = _sample_rows(pair_post, step_uniforms[node_bounds[-1] :])
+            nodes[node_fixed] = node_anchor
+            pairs[pair_fixed] = pair_anchor
     return [
         _decode_extension(nodes[a:b], pairs[c:d], marginals)
         for a, b, c, d in zip(node_bounds, node_bounds[1:], pair_bounds, pair_bounds[1:])

@@ -9,7 +9,13 @@ the weight distribution, then one of its members uniformly.
 
 k-means runs with k-means++ seeding, 10 restarts per k, at most 100 Lloyd
 iterations, and stops once the largest centroid shift drops below 1e-6.
-Distances are Euclidean over the raw 0/1 fingerprint vectors.
+Distances are Euclidean over the raw 0/1 fingerprint vectors. The restarts
+stop early at one whose inertia is 0.0: only a strictly lower inertia
+replaces the best restart, so no later one could.
+
+The k scan stops past the number of distinct fingerprint rows. Every point
+takes the label of its row's nearest center, so such a k always leaves a
+cluster empty, which inverse-size weights cannot serve.
 
 k-means runs on the distinct rows with their counts, which is exact: a
 point's distances depend only on its row, draws, sums, reseeds and labels
@@ -174,6 +180,8 @@ def _kmeans(
         centers, labels, inertia = _lloyd(rows, inverse, counts, centers)
         if best is None or inertia < best[0]:
             best = (inertia, centers, labels)
+        if inertia == 0.0:
+            break
     assert best is not None
     return best[1], best[2]
 
@@ -244,7 +252,8 @@ def cluster_scaffolds(
 
     Needs at least three fingerprints. When every fingerprint is identical
     no clustering is meaningful, so a flagged single-cluster model comes
-    back instead.
+    back instead. A k above the number of distinct fingerprints is skipped,
+    since it would leave a cluster empty.
     """
     if len(fps) < 3:
         raise ValueError("clustering needs at least three fingerprints")
@@ -260,9 +269,12 @@ def cluster_scaffolds(
         return single_cluster(points)
 
     distinct = _distinct_rows(points)
+    n_distinct = len(distinct[0])
     root = np.random.SeedSequence(seed)
     best: tuple[float, int, np.ndarray, np.ndarray] | None = None
     for k, child in zip(ks, root.spawn(len(ks))):
+        if k > n_distinct:
+            break
         centers, labels = _kmeans(*distinct, k, child)
         if len(np.unique(labels)) < 2:
             continue
@@ -271,7 +283,10 @@ def cluster_scaffolds(
         if best is None or score > best[0] + 1e-12:
             best = (score, k, centers, labels)
     if best is None:
-        raise ValueError("no k in k_range produced two nonempty clusters")
+        raise ValueError(
+            f"no k in k_range up to the {n_distinct} distinct fingerprints "
+            "produced two nonempty clusters"
+        )
     score, k, centers, labels = best
     return ClusterModel(k, centers, labels.astype(np.int64), silhouette_score=score)
 

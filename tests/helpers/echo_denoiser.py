@@ -10,6 +10,7 @@ Modes, chosen by argv[1]:
   outside   an edge entry whose index is the node count
   negative  a node row [1.5, -0.5, 0, ...] that sums to one
   linger    echo, but stay alive for a minute after stdin closes
+  once      echo one request, then exit 0
 argv[2] is the atom-type count. When the environment names a file in
 ``ECHO_DENOISER_PIDS``, the child appends its process id there, so a test
 can count the children a run starts and check that they have exited.
@@ -68,6 +69,8 @@ def main() -> int:
         request = json.loads(line)
         sys.stdout.write(_respond(request, mode, n_atom_types) + "\n")
         sys.stdout.flush()
+        if mode == "once":
+            break
     if mode == "linger":
         time.sleep(60)
     return 0

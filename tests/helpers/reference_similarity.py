@@ -4,8 +4,9 @@ These are the implementations that ``metrics.pairwise_mean_tanimoto``,
 ``rerank.mmr_rerank``, ``rerank.rerank_report``, the k-means of
 ``sampling`` and ``sampling.silhouette`` replaced: one ``tanimoto`` call per
 pair, Lloyd's iterations over every point rather than over the distinct
-rows, and one silhouette score per point. The function bodies are
-unchanged, so the tests can require the faster code to give the same bytes.
+rows, every restart of every k of the range, and one silhouette score per
+point. The function bodies are unchanged, so the tests can require the
+faster code to give the same bytes.
 """
 
 from __future__ import annotations
@@ -15,10 +16,17 @@ from typing import Sequence
 
 import numpy as np
 
-from scaffscreen.fingerprints import Fingerprint, tanimoto
+from scaffscreen.fingerprints import Fingerprint, fingerprint_matrix, tanimoto
 from scaffscreen.metrics import DegenerateLabels, RankedList
 from scaffscreen.rerank import CandidateSet, LambdaReport, RerankedSet, check_lambda
-from scaffscreen.sampling import KMEANS_MAX_ITER, KMEANS_RESTARTS, KMEANS_TOL
+from scaffscreen.sampling import (
+    KMEANS_MAX_ITER,
+    KMEANS_RESTARTS,
+    KMEANS_TOL,
+    ClusterModel,
+    single_cluster,
+)
+from scaffscreen.sampling import silhouette as _fast_silhouette
 
 
 def pairwise_mean_tanimoto(fps: Sequence[Fingerprint]) -> float:
@@ -202,3 +210,38 @@ def silhouette(points: np.ndarray, assignments: np.ndarray) -> float:
         denom = max(a, b)
         scores[i] = 0.0 if denom == 0.0 else (b - a) / denom
     return float(scores.mean())
+
+
+def cluster_scaffolds(
+    fps: Sequence[Fingerprint],
+    k_range: Sequence[int] | None = None,
+    seed: int = 0,
+) -> ClusterModel:
+    """k by mean silhouette over every k of the range, each with all its restarts."""
+    if len(fps) < 3:
+        raise ValueError("clustering needs at least three fingerprints")
+    points = fingerprint_matrix(fps)
+    m = len(points)
+    if k_range is None:
+        k_range = range(2, min(20, m - 1) + 1)
+    ks = sorted(set(int(k) for k in k_range))
+    if not ks or ks[0] < 2 or ks[-1] > m - 1:
+        raise ValueError(f"k_range must lie within [2, {m - 1}]")
+
+    if (points == points[0]).all():
+        return single_cluster(points)
+
+    root = np.random.SeedSequence(seed)
+    best: tuple[float, int, np.ndarray, np.ndarray] | None = None
+    for k, child in zip(ks, root.spawn(len(ks))):
+        centers, labels = _kmeans(points, k, child)
+        if len(np.unique(labels)) < 2:
+            continue
+        score = _fast_silhouette(points, labels)
+        # Ties prefer the smaller k.
+        if best is None or score > best[0] + 1e-12:
+            best = (score, k, centers, labels)
+    if best is None:
+        raise ValueError("no k in k_range produced two nonempty clusters")
+    score, k, centers, labels = best
+    return ClusterModel(k, centers, labels.astype(np.int64), silhouette_score=score)

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from scaffscreen.chem import Atom, parse_smiles, to_smiles
 from scaffscreen.diffusion import (
@@ -383,6 +385,44 @@ def test_engine_rejects_denoiser_rows_of_the_wrong_width(short):
         )
 
 
+def _cumsum_sample_rows(probs, u):
+    """The row-``cumsum`` draw that ``sampler._sample_rows`` replaced."""
+    cdf = np.cumsum(probs, axis=1)
+    cdf /= cdf[:, -1:]
+    return (cdf < u[:, None]).sum(axis=1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(0, 40),
+    width=st.integers(1, 12),
+    scale=st.floats(1e-3, 1e3),
+    zero_share=st.floats(0.0, 0.9),
+    tie_share=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=0, width=5, scale=1.0, zero_share=0.0, tie_share=0.0, seed=0)
+@example(n=6, width=1, scale=1.0, zero_share=0.0, tie_share=0.0, seed=0)
+def test_category_major_draws_equal_the_row_cumsum_oracle(
+    n, width, scale, zero_share, tie_share, seed
+):
+    # Zero-probability categories (whole zero rows too), rows that do not sum
+    # to one, and uniforms exactly at a cdf step all occur.
+    rng = np.random.default_rng(seed)
+    probs = rng.random((n, width)) * scale
+    probs[rng.random((n, width)) < zero_share] = 0.0
+    u = rng.random(n)
+    with np.errstate(invalid="ignore"):
+        cdf = np.cumsum(probs, axis=1)
+        cdf /= cdf[:, -1:]
+        tie = rng.random(n) < tie_share
+        u[tie] = cdf[tie, rng.integers(0, width, size=int(tie.sum()))]
+        want = _cumsum_sample_rows(probs, u)
+        got = sampler_module._sample_rows(probs, u)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+
+
 # --- external denoiser --------------------------------------------------
 
 
@@ -573,6 +613,33 @@ def test_external_denoiser_restarts_after_close():
     external.close()
     external.close()  # idempotent
     assert np.allclose(first[0], second[0])
+
+
+class _WaitsForExit:
+    """Forwards to an ``ExternalDenoiser`` and waits, after each call, for its child to exit."""
+
+    def __init__(self, external):
+        self.external = external
+
+    def denoise(self, t, nodes, pairs, sizes):
+        rows = self.external.denoise(t, nodes, pairs, sizes)
+        self.external._proc.wait(timeout=30)
+        return rows
+
+
+def test_external_denoiser_fails_when_its_child_exits_mid_run(tmp_path, monkeypatch):
+    pids = tmp_path / "pids.txt"
+    monkeypatch.setenv("ECHO_DENOISER_PIDS", str(pids))
+    marginals = compute_marginals(_mols(*EXTENSION_DATASET))
+    with ExternalDenoiser(_echo_command("once", marginals.n_atom_types)) as external:
+        with pytest.raises(ProtocolError, match="exited with code 0"):
+            extend_scaffold(
+                parse_smiles("c1ccccc1"),
+                _WaitsForExit(external),
+                marginals,
+                schedule=CosineSchedule(timesteps=2),
+            )
+    assert len(pids.read_text(encoding="utf-8").split()) == 1
 
 
 def test_external_denoiser_close_kills_a_child_that_ignores_eof(monkeypatch):
@@ -802,6 +869,30 @@ def test_lockstep_extensions_equal_one_chain_runs(denoiser_kind):
     ]
     assert len({mol.n_atoms for mol in alone}) > 2
     assert [entry.molecule for entry in entries] == alone
+
+
+@pytest.mark.parametrize("denoiser_kind", ["marginal", "echo"])
+def test_blocked_uniforms_equal_one_draw_per_step(denoiser_kind, monkeypatch):
+    # 23 steps: two full blocks of ten and a short one of three.
+    marginals = compute_marginals(_mols(*LOCKSTEP_DATASET))
+    scaffolds = _mols(*LOCKSTEP_SCAFFOLDS, FALLBACK_SCAFFOLD)
+
+    def molecules():
+        entries, _ = generate_scaffold_extensions(
+            scaffolds,
+            list(range(len(scaffolds))),
+            _denoiser(denoiser_kind, marginals),
+            marginals,
+            schedule=CosineSchedule(timesteps=23),
+            seed=5,
+        )
+        return [entry.molecule for entry in entries]
+
+    blocked = molecules()
+    monkeypatch.setattr(sampler_module, "UNIFORM_BLOCK_STEPS", 1)
+    per_step = molecules()
+    assert len({mol.n_atoms for mol in per_step}) > 2
+    assert blocked == per_step
 
 
 def test_generation_report_and_alignment():

@@ -230,6 +230,63 @@ def test_distinct_row_kmeans_equals_the_per_point_reference(monkeypatch):
         assert model.silhouette_score == expected.silhouette_score
 
 
+def _head_heavy_cases(seed: int, n_cases: int) -> list[tuple[list[Fingerprint], int]]:
+    rng = np.random.default_rng(seed)
+    cases = []
+    for n in range(n_cases):
+        nbits = (64, 256, 1024)[n % 3]
+        rows = _head_heavy(rng, int(rng.integers(6, 60)), int(rng.integers(2, 12)), nbits)
+        cases.append((_fingerprints(rows), n))
+    return cases
+
+
+def _four_scaffolds(nbits: int) -> np.ndarray:
+    """20 rows of four distinct patterns, 12/4/2/2, like a deck-2k training fold."""
+    patterns = np.random.default_rng(4).random((4, nbits)) < 0.2
+    assert len(np.unique(patterns, axis=0)) == 4
+    return np.repeat(patterns, [12, 4, 2, 2], axis=0)
+
+
+def test_k_scan_stops_at_the_distinct_row_count(monkeypatch):
+    rows = _four_scaffolds(1024)
+    n_distinct = 4
+    ks, lloyd_runs = [], []
+    kmeans, lloyd = sampling._kmeans, sampling._lloyd
+
+    def counting_kmeans(rows, inverse, counts, k, seed):
+        ks.append(k)
+        lloyd_runs.append(0)
+        return kmeans(rows, inverse, counts, k, seed)
+
+    def counting_lloyd(*args):
+        lloyd_runs[-1] += 1
+        return lloyd(*args)
+
+    monkeypatch.setattr(sampling, "_kmeans", counting_kmeans)
+    monkeypatch.setattr(sampling, "_lloyd", counting_lloyd)
+    model = cluster_scaffolds(_fingerprints(rows), seed=9)
+    assert ks == list(range(2, n_distinct + 1))
+    # At k = 4 the first restart puts a center on every distinct row.
+    assert lloyd_runs[-1] == 1
+    assert (model.cluster_sizes > 0).all()
+
+
+def test_bounded_k_scan_equals_the_full_scan():
+    for fps, seed in _head_heavy_cases(31, 12):
+        ours = cluster_scaffolds(fps, seed=seed)
+        theirs = reference.cluster_scaffolds(fps, seed=seed)
+        assert ours.k == theirs.k
+        assert ours.centroids.tobytes() == theirs.centroids.tobytes()
+        assert np.array_equal(ours.assignments, theirs.assignments)
+        assert ours.silhouette_score == theirs.silhouette_score
+
+
+def test_k_range_above_the_distinct_rows_is_rejected():
+    rows = _four_scaffolds(64)
+    with pytest.raises(ValueError, match="up to the 4 distinct fingerprints"):
+        cluster_scaffolds(_fingerprints(rows), k_range=[5, 6], seed=0)
+
+
 def test_clustering_a_thousand_distinct_scaffolds_stays_under_50_mb():
     # One (1000, 20, 1024) float64 difference broadcast alone is 164 MB.
     rng = np.random.default_rng(8)
