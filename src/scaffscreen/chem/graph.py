@@ -80,21 +80,28 @@ class MolGraph:
             raise ValueError("molecular graph needs at least one atom")
         n = len(self._atoms)
         normalized: dict[tuple[int, int], BondOrder] = {}
-        for (i, j), order in bonds.items():
-            if i == j:
+        for key, order in bonds.items():
+            i, j = key
+            if i < j:
+                if i < 0 or j >= n:
+                    raise ValueError(f"bond ({i}, {j}) references a missing atom")
+            elif j < i:
+                if j < 0 or i >= n:
+                    raise ValueError(f"bond ({i}, {j}) references a missing atom")
+                key = (j, i)
+            else:
                 raise ValueError(f"self-bond on atom {i}")
-            if not (0 <= i < n and 0 <= j < n):
-                raise ValueError(f"bond ({i}, {j}) references a missing atom")
-            key = _bond_key(i, j)
             if key in normalized and normalized[key] != order:
                 raise ValueError(f"conflicting duplicate bond {key}")
-            normalized[key] = BondOrder(order)
+            normalized[key] = order if order.__class__ is BondOrder else BondOrder(order)
         self._bonds = dict(sorted(normalized.items()))
+        # Sorted keys reach each atom's lower neighbours first, then its higher
+        # ones, each run ascending: every list comes out sorted.
         adj: list[list[int]] = [[] for _ in range(n)]
         for i, j in self._bonds:
             adj[i].append(j)
             adj[j].append(i)
-        self._adj = tuple(tuple(sorted(nbrs)) for nbrs in adj)
+        self._adj = tuple(map(tuple, adj))
 
     @property
     def atoms(self) -> tuple[Atom, ...]:
@@ -120,11 +127,6 @@ class MolGraph:
 
     def bond(self, i: int, j: int) -> BondOrder | None:
         return self._bonds.get(_bond_key(i, j))
-
-    def aromatic_bond_count(self, i: int) -> int:
-        return sum(
-            1 for j in self._adj[i] if self._bonds[_bond_key(i, j)] is BondOrder.AROMATIC
-        )
 
     def connected_components(self) -> list[tuple[int, ...]]:
         """Connected components as sorted index tuples, ordered by smallest member."""

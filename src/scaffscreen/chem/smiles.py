@@ -44,9 +44,11 @@ class SmilesFeatureWarning(UserWarning):
     """Emitted when an accepted-but-ignored feature (stereo, isotope) is dropped."""
 
 
-_TWO_CHAR = ("Cl", "Br")
+_TWO_CHAR = frozenset(("Cl", "Br"))
 _SINGLE_CHAR = frozenset("BCNOPSFI")
 _AROMATIC_CHARS = frozenset("bcnops")
+# SMILES digits are ASCII only: str.isdigit() also accepts "²" and other scripts' digits.
+_DIGITS = frozenset("0123456789")
 _BOND_CHARS = {
     "-": BondOrder.SINGLE,
     "=": BondOrder.DOUBLE,
@@ -58,6 +60,12 @@ _BOND_CHARS = {
 # One shared Atom per (element, aromatic, charge, explicit_h): equal graphs then
 # compare their atoms by identity, not through the dataclass __eq__.
 _atom = functools.lru_cache(maxsize=4096)(Atom)
+
+# The atom each unbracketed token stands for.
+_TOKEN_ATOMS = {
+    **{symbol: _atom(symbol, False, 0, 0) for symbol in ORGANIC_SUBSET},
+    **{ch: _atom(ch.upper(), True, 0, 0) for ch in _AROMATIC_CHARS},
+}
 
 
 def _parse_bracket(text: str, start: int) -> tuple[Atom, int]:
@@ -75,7 +83,7 @@ def _parse_bracket(text: str, start: int) -> tuple[Atom, int]:
 
     # Isotope prefix: digits before the element symbol.
     iso_start = pos
-    while pos < end and text[pos].isdigit():
+    while pos < end and text[pos] in _DIGITS:
         pos += 1
     if pos > iso_start:
         warnings.warn(
@@ -85,23 +93,19 @@ def _parse_bracket(text: str, start: int) -> tuple[Atom, int]:
         raise fail("bracket atom lacks an element symbol")
 
     aromatic = False
-    element = None
-    for sym in _TWO_CHAR:
-        if text.startswith(sym, pos):
-            element = sym
-            pos += 2
-            break
-    if element is None:
-        ch = text[pos]
-        if ch in _SINGLE_CHAR:
-            element = ch
-            pos += 1
-        elif ch in _AROMATIC_CHARS:
-            element = ch.upper()
-            aromatic = True
-            pos += 1
-        else:
-            raise fail(f"unknown element in bracket atom: {text[pos:end]!r}")
+    ch = text[pos]
+    if text[pos : pos + 2] in _TWO_CHAR:
+        element = text[pos : pos + 2]
+        pos += 2
+    elif ch in _SINGLE_CHAR:
+        element = ch
+        pos += 1
+    elif ch in _AROMATIC_CHARS:
+        element = ch.upper()
+        aromatic = True
+        pos += 1
+    else:
+        raise fail(f"unknown element in bracket atom: {text[pos:end]!r}")
 
     h_count = 0
     charge = 0
@@ -117,7 +121,7 @@ def _parse_bracket(text: str, start: int) -> tuple[Atom, int]:
         elif ch == "H":
             pos += 1
             digits = ""
-            while pos < end and text[pos].isdigit():
+            while pos < end and text[pos] in _DIGITS:
                 digits += text[pos]
                 pos += 1
             h_count = int(digits) if digits else 1
@@ -132,7 +136,7 @@ def _parse_bracket(text: str, start: int) -> tuple[Atom, int]:
                     pos += 1
             else:
                 digits = ""
-                while pos < end and text[pos].isdigit():
+                while pos < end and text[pos] in _DIGITS:
                     digits += text[pos]
                     pos += 1
                 magnitude = int(digits) if digits else 1
@@ -140,7 +144,7 @@ def _parse_bracket(text: str, start: int) -> tuple[Atom, int]:
         elif ch == ":":
             pos += 1
             run = pos
-            while pos < end and text[pos].isdigit():
+            while pos < end and text[pos] in _DIGITS:
                 pos += 1
             if pos == run:
                 raise fail("atom map class without digits")
@@ -189,14 +193,19 @@ def parse_smiles(text: str) -> MolGraph:
             raise ParseError(f"duplicate bond between atoms {key[0]} and {key[1]}", offset)
         bonds[key] = order
 
-    def attach_atom(atom: Atom, offset: int) -> None:
+    def attach_atom(atom: Atom) -> None:
         nonlocal prev, pending_bond
-        atoms.append(atom)
-        idx = len(atoms) - 1
+        idx = len(atoms)
         if prev is not None:
-            add_bond(prev, idx, pending_bond, offset)
+            # A chain bond joins a new atom, so it is never a duplicate.
+            order = pending_bond
+            if order is None:
+                both_aromatic = atoms[prev].aromatic and atom.aromatic
+                order = BondOrder.AROMATIC if both_aromatic else BondOrder.SINGLE
+            bonds[(prev, idx)] = order
         elif pending_bond is not None:
             raise ParseError("bond symbol without a preceding atom", pending_offset)
+        atoms.append(atom)
         pending_bond = None
         prev = idx
 
@@ -217,47 +226,16 @@ def parse_smiles(text: str) -> MolGraph:
     length = len(text)
     while pos < length:
         ch = text[pos]
-        matched_element = None
-        for sym in _TWO_CHAR:
-            if text.startswith(sym, pos):
-                matched_element = sym
-                break
-        if matched_element is not None:
-            attach_atom(_atom(matched_element, False, 0, 0), pos)
-            pos += 2
-        elif ch in _SINGLE_CHAR:
-            attach_atom(_atom(ch, False, 0, 0), pos)
+        atom = _TOKEN_ATOMS.get(ch)
+        if atom is not None:
+            if (ch == "C" or ch == "B") and text[pos : pos + 2] in _TWO_CHAR:
+                atom = _TOKEN_ATOMS[text[pos : pos + 2]]
+                pos += 1
+            attach_atom(atom)
             pos += 1
-        elif ch in _AROMATIC_CHARS:
-            attach_atom(_atom(ch.upper(), True, 0, 0), pos)
-            pos += 1
-        elif ch == "[":
-            atom, nxt = _parse_bracket(text, pos)
-            attach_atom(atom, pos)
-            pos = nxt
-        elif ch in _BOND_CHARS:
-            if pending_bond is not None:
-                raise ParseError("two consecutive bond symbols", pos)
-            pending_bond = _BOND_CHARS[ch]
-            pending_offset = pos
-            pos += 1
-        elif ch in "/\\":
-            if pending_bond is not None:
-                raise ParseError("two consecutive bond symbols", pos)
-            warnings.warn(
-                f"directional bond {ch!r} treated as single", SmilesFeatureWarning, stacklevel=2
-            )
-            pending_bond = BondOrder.SINGLE
-            pending_offset = pos
-            pos += 1
-        elif ch.isdigit():
+        elif ch in _DIGITS:
             close_or_open_ring(int(ch), pos)
             pos += 1
-        elif ch == "%":
-            if pos + 2 >= length or not text[pos + 1 : pos + 3].isdigit():
-                raise ParseError("%% ring closure needs two digits", pos)
-            close_or_open_ring(int(text[pos + 1 : pos + 3]), pos)
-            pos += 3
         elif ch == "(":
             if prev is None:
                 raise ParseError("branch before any atom", pos)
@@ -272,6 +250,30 @@ def parse_smiles(text: str) -> MolGraph:
                 raise ParseError("dangling bond before branch close", pending_offset)
             prev, _ = branch_stack.pop()
             pos += 1
+        elif ch in _BOND_CHARS:
+            if pending_bond is not None:
+                raise ParseError("two consecutive bond symbols", pos)
+            pending_bond = _BOND_CHARS[ch]
+            pending_offset = pos
+            pos += 1
+        elif ch == "[":
+            atom, nxt = _parse_bracket(text, pos)
+            attach_atom(atom)
+            pos = nxt
+        elif ch == "/" or ch == "\\":
+            if pending_bond is not None:
+                raise ParseError("two consecutive bond symbols", pos)
+            warnings.warn(
+                f"directional bond {ch!r} treated as single", SmilesFeatureWarning, stacklevel=2
+            )
+            pending_bond = BondOrder.SINGLE
+            pending_offset = pos
+            pos += 1
+        elif ch == "%":
+            if pos + 2 >= length or not (text[pos + 1] in _DIGITS and text[pos + 2] in _DIGITS):
+                raise ParseError("%% ring closure needs two digits", pos)
+            close_or_open_ring(int(text[pos + 1 : pos + 3]), pos)
+            pos += 3
         elif ch == ".":
             raise ParseError("disconnected fragments are not supported", pos)
         else:

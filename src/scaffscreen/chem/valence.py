@@ -59,23 +59,34 @@ def allowed_valences(atom: Atom) -> tuple[int, ...]:
     return base
 
 
-def _connection_totals(mol: MolGraph, i: int) -> list[float]:
-    """Candidate valence totals for atom ``i`` (alternatives for aromatics)."""
-    atom = mol.atoms[i]
-    plain = 0.0
-    aromatic_count = 0
-    for j in mol.neighbors(i):
-        order = mol.bond(i, j)
-        assert order is not None
-        if order is BondOrder.AROMATIC:
-            aromatic_count += 1
-        else:
-            plain += order.valence
+def _connection_totals(atom: Atom, plain: float, aromatic_count: int) -> list[float]:
+    """Candidate valence totals of an atom (alternatives for aromatics).
+
+    ``plain`` sums the atom's non-aromatic bond orders; ``aromatic_count``
+    counts its aromatic bonds.
+    """
     base = plain + atom.explicit_h
     totals = [base + (aromatic_count + aromatic_count // 2)]
     if aromatic_count >= 2 and atom.element in _LONE_PAIR_DONORS:
         totals.append(base + aromatic_count)
     return totals
+
+
+def _bond_sums(mol: MolGraph) -> tuple[list[float], list[int]]:
+    """Each atom's plain bond-order total and aromatic bond count, in one pass.
+
+    The plain totals add 1.0, 2.0 and 3.0 only, so they are exact in any order.
+    """
+    plain = [0.0] * mol.n_atoms
+    aromatic = [0] * mol.n_atoms
+    for (i, j), order in mol.bonds.items():
+        if order is BondOrder.AROMATIC:
+            aromatic[i] += 1
+            aromatic[j] += 1
+        else:
+            plain[i] += order
+            plain[j] += order
+    return plain, aromatic
 
 
 def remaining_capacity(mol: MolGraph, i: int) -> int:
@@ -84,9 +95,11 @@ def remaining_capacity(mol: MolGraph, i: int) -> int:
     Uses the most permissive allowed valence against the most favourable
     connection accounting, so the answer is exact for single-bond additions.
     """
-    limits = allowed_valences(mol.atoms[i])
-    totals = _connection_totals(mol, i)
-    spare = max(limits) - min(totals)
+    atom = mol.atoms[i]
+    orders = [mol.bond(i, j) for j in mol.neighbors(i)]
+    aromatic_count = orders.count(BondOrder.AROMATIC)
+    plain = sum((float(order) for order in orders if order is not BondOrder.AROMATIC), 0.0)
+    spare = max(allowed_valences(atom)) - min(_connection_totals(atom, plain, aromatic_count))
     return max(0, int(spare))
 
 
@@ -97,8 +110,9 @@ def check_valence(mol: MolGraph) -> ValidityReport:
     valid exactly when the violation list is empty.
     """
     violations: list[ValenceViolation] = []
+    plain, aromatic = _bond_sums(mol)
     for i, atom in enumerate(mol.atoms):
-        aromatic_count = mol.aromatic_bond_count(i)
+        aromatic_count = aromatic[i]
         if aromatic_count and not atom.aromatic:
             violations.append(
                 ValenceViolation(i, "aromatic bond on a non-aromatic atom")
@@ -110,7 +124,7 @@ def check_valence(mol: MolGraph) -> ValidityReport:
             )
             continue
         limits = allowed_valences(atom)
-        totals = _connection_totals(mol, i)
+        totals = _connection_totals(atom, plain[i], aromatic_count)
         if not any(total <= limit for total in totals for limit in limits):
             label = atom.element if not atom.charge else f"{atom.element}{atom.charge:+d}"
             violations.append(

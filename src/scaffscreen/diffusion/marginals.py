@@ -14,6 +14,7 @@ contributes a point mass on "no edge" when it is the only input.
 from __future__ import annotations
 
 import functools
+from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -72,35 +73,53 @@ class Marginals:
             )
             return self._index[atom]
 
+    # The cdfs that ``Generator.choice(p=...)`` would build on every call.
+    @functools.cached_property
+    def size_cdf(self) -> np.ndarray:
+        return _cdf(self.size_probs)
+
+    @functools.cached_property
+    def node_cdf(self) -> np.ndarray:
+        return _cdf(self.node_prior)
+
+    @functools.cached_property
+    def edge_cdf(self) -> np.ndarray:
+        return _cdf(self.edge_prior)
+
+
+def _cdf(probs: np.ndarray) -> np.ndarray:
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
 
 def compute_marginals(mols: Sequence[MolGraph]) -> Marginals:
     """Count node categories, pairwise edge categories and sizes over ``mols``."""
     if not mols:
         raise ValueError("cannot compute marginals over an empty dataset")
 
-    atom_counts: dict[Atom, int] = {}
-    size_counts: dict[int, int] = {}
-    edge_counts = np.zeros(N_EDGE_CATEGORIES, dtype=np.float64)
+    # Counted in Python ints; each float64 array is built once from exact counts.
+    atom_counts: Counter[Atom] = Counter()
+    size_counts: Counter[int] = Counter()
+    edge_counts = [0] * N_EDGE_CATEGORIES
     for mol in mols:
         n = mol.n_atoms
-        size_counts[n] = size_counts.get(n, 0) + 1
-        for atom in mol.atoms:
-            atom_counts[atom] = atom_counts.get(atom, 0) + 1
-        n_pairs = n * (n - 1) // 2
-        bonded = 0
-        for order in mol.bonds.values():
-            edge_counts[int(order)] += 1
-            bonded += 1
-        edge_counts[EDGE_NONE] += n_pairs - bonded
+        size_counts[n] += 1
+        atom_counts.update(mol.atoms)
+        bonds = mol.bonds
+        for order in bonds.values():
+            edge_counts[order] += 1
+        edge_counts[EDGE_NONE] += n * (n - 1) // 2 - len(bonds)
 
     atom_types = tuple(sorted(atom_counts, key=_atom_sort_key))
     node_prior = np.array([atom_counts[a] for a in atom_types], dtype=np.float64)
     node_prior /= node_prior.sum()
 
-    if edge_counts.sum() == 0:
+    if not any(edge_counts):
         # Only single-atom molecules: fall back to a point mass on "no edge".
-        edge_counts[EDGE_NONE] = 1.0
-    edge_prior = edge_counts / edge_counts.sum()
+        edge_counts[EDGE_NONE] = 1
+    edge_prior = np.array(edge_counts, dtype=np.float64)
+    edge_prior /= edge_prior.sum()
 
     sizes = np.array(sorted(size_counts), dtype=np.int64)
     size_probs = np.array([size_counts[int(s)] for s in sizes], dtype=np.float64)

@@ -140,6 +140,15 @@ def _bounds(counts: Iterable[int]) -> list[int]:
     return [0, *itertools.accumulate(counts)]
 
 
+def _choice(cdf: np.ndarray, rng: np.random.Generator, size: int | None = None):
+    """``rng.choice(len(p), size, p=p)`` given the cdf of ``p``: equal draws, equal stream.
+
+    ``Generator.choice`` builds that cdf on every call, draws ``rng.random(size)``
+    and looks the uniforms up with ``searchsorted(side="right")``.
+    """
+    return cdf.searchsorted(rng.random(size), side="right")
+
+
 def _draw_size(n_scaffold: int, marginals: Marginals, rng: np.random.Generator) -> int:
     """Molecule size above the scaffold size, by rejection from the histogram.
 
@@ -147,7 +156,7 @@ def _draw_size(n_scaffold: int, marginals: Marginals, rng: np.random.Generator) 
     scaffold size plus a fixed margin.
     """
     for _ in range(SIZE_REJECTION_LIMIT):
-        n = int(rng.choice(marginals.sizes, p=marginals.size_probs))
+        n = int(marginals.sizes[_choice(marginals.size_cdf, rng)])
         if n > n_scaffold:
             return n
     logger.debug(
@@ -177,8 +186,8 @@ def _run_chains(
         n = _draw_size(n_scaffold, marginals, rng)
         _, ju = upper_indices(n)
         sizes.append(n)
-        nodes.append(rng.choice(marginals.n_atom_types, size=n, p=marginals.node_prior))
-        pairs.append(rng.choice(marginals.n_edge_types, size=len(ju), p=marginals.edge_prior))
+        nodes.append(_choice(marginals.node_cdf, rng, n))
+        pairs.append(_choice(marginals.edge_cdf, rng, len(ju)))
         # Node i is fixed iff i < n_scaffold, pair (i, j) with i < j iff j < n_scaffold.
         node_fixed.append(np.arange(n) < n_scaffold)
         pair_fixed.append(ju < n_scaffold)

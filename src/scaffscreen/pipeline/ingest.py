@@ -71,7 +71,9 @@ def ingest(path: str | Path, quarantine_path: str | Path | None = None) -> Assay
     quarantined: list[QuarantinedRow] = []
     seen_ids: set[str] = set()
 
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    # Features the reader drops (stereo, isotopes) are expected in assay files.
+    with open(path, "r", encoding="utf-8", newline="") as fh, warnings.catch_warnings():
+        warnings.simplefilter("ignore", SmilesFeatureWarning)
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -96,9 +98,7 @@ def ingest(path: str | Path, quarantine_path: str | Path | None = None) -> Assay
                 )
                 continue
             try:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", SmilesFeatureWarning)
-                    mol = parse_smiles(smiles)
+                mol = parse_smiles(smiles)
             except ParseError as exc:
                 quarantined.append(QuarantinedRow(record_id, smiles, str(exc)))
                 continue

@@ -343,5 +343,8 @@ def write_library_csv(path, library: ScaffoldLibrary) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["scaffold_smiles", "cluster_id", "source_label"])
+        strings: dict[MolGraph, str] = {}  # equal scaffolds are serialized once
         for entry in library.entries:
-            writer.writerow([to_smiles(entry.scaffold), entry.cluster_id, entry.source_label])
+            if (smiles := strings.get(entry.scaffold)) is None:
+                smiles = strings[entry.scaffold] = to_smiles(entry.scaffold)
+            writer.writerow([smiles, entry.cluster_id, entry.source_label])

@@ -19,6 +19,12 @@ The trace's ``diffusion.posterior_distributions.self_s`` times the calls
 of ``diffusion.sampler.posterior_distributions``, so the reverse-diffusion
 loop must compute its posterior rows through that module binding: one call
 for the node rows and one for the pair rows per step.
+
+Likewise the trace's chem figures count and time ``parse_smiles``,
+``murcko_scaffold``, ``check_valence`` and ``to_smiles`` only where the
+program calls them through a module binding that ``install()`` rebinds. The
+mini deck's ingest, split, augment and report steps must each reach theirs
+that way; a step that routes around them reads 0 in the trace.
 """
 
 from __future__ import annotations
@@ -27,10 +33,13 @@ import dataclasses
 import importlib
 import importlib.util
 import inspect
+import shutil
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from scaffscreen import selftrain
 from scaffscreen.chem import parse_smiles
@@ -41,6 +50,9 @@ from scaffscreen.diffusion import (
     generate_scaffold_extensions,
 )
 from scaffscreen.diffusion import sampler
+from scaffscreen.pipeline.ingest import ingest
+from scaffscreen.pipeline.runner import derive_seed, rebuild_report, write_augmentation
+from scaffscreen.pipeline.splits import make_splits
 from scaffscreen.pipeline.synthetic import make_benchmark_deck
 
 SCREENBENCH = Path(__file__).resolve().parents[1] / "screenbench"
@@ -169,3 +181,60 @@ def test_each_reverse_step_makes_two_posterior_calls(monkeypatch):
     )
     assert len(entries) == 3
     assert calls == [t for t in range(7, 0, -1) for _ in range(2)]
+
+
+CHEM_SPANS = ("chem.parse_smiles", "chem.murcko_scaffold", "chem.check_valence", "chem.to_smiles")
+
+
+def _count_chem_calls(monkeypatch) -> Counter:
+    """Rebind the traced chem functions as ``install()`` does, with counting wrappers."""
+    importlib.import_module("scaffscreen.pipeline.cli")  # every module that copies a binding
+    counts: Counter = Counter()
+    for span, module_name, attribute in _targets():
+        if span not in CHEM_SPANS:
+            continue
+        original = _resolve(module_name, attribute)
+
+        def counting(*args, _span=span, _original=original, **kwargs):
+            counts[_span] += 1
+            return _original(*args, **kwargs)
+
+        for loaded in list(sys.modules.values()):
+            if not getattr(loaded, "__name__", "").startswith("scaffscreen"):
+                continue
+            for key, value in list(vars(loaded).items()):
+                if value is original:
+                    monkeypatch.setattr(loaded, key, counting)
+    return counts
+
+
+@pytest.mark.filterwarnings("ignore:.*active fraction.*:UserWarning")
+def test_the_pipeline_calls_chem_through_the_traced_bindings(
+    mini_run, mini_config, tmp_path, monkeypatch
+):
+    counts = _count_chem_calls(monkeypatch)
+    assert set(span for span, _, _ in _targets()) >= set(CHEM_SPANS)
+    reached = {}
+
+    def step(name, call):
+        counts.clear()
+        result = call()
+        reached[name] = {span for span in CHEM_SPANS if counts[span] > 0}
+        return result
+
+    assay = step("ingest", lambda: ingest(mini_config.assay))
+    plan = step("split", lambda: make_splits(assay, scheme="scaffold", seed=mini_config.seed))
+    by_id = {r.record_id: r for r in assay.records}
+    train = [by_id[i] for i in plan.splits[0].train_ids]
+    seed = derive_seed(mini_config.seed, "augment", 0)
+    step("augment", lambda: write_augmentation(tmp_path / "augment", train, mini_config, seed))
+    run_copy = tmp_path / "run"
+    shutil.copytree(mini_run, run_copy)
+    step("report", lambda: rebuild_report(run_copy))
+
+    assert reached == {
+        "ingest": {"chem.parse_smiles"},
+        "split": {"chem.murcko_scaffold", "chem.to_smiles"},
+        "augment": {"chem.murcko_scaffold", "chem.check_valence", "chem.to_smiles"},
+        "report": {"chem.parse_smiles", "chem.murcko_scaffold"},
+    }

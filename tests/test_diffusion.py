@@ -17,6 +17,7 @@ from scaffscreen.diffusion import (
     ExternalDenoiser,
     GenerationReport,
     MarginalDenoiser,
+    Marginals,
     OneHotEchoDenoiser,
     ProtocolError,
     compute_marginals,
@@ -421,6 +422,35 @@ def test_category_major_draws_equal_the_row_cumsum_oracle(
         got = sampler_module._sample_rows(probs, u)
     assert got.dtype == want.dtype
     assert np.array_equal(got, want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    weights=st.lists(
+        st.lists(st.floats(0.0, 1e3) | st.just(0.0), min_size=1, max_size=9).filter(any),
+        min_size=3,
+        max_size=3,
+    ),
+    draws=st.lists(st.tuples(st.integers(0, 2), st.none() | st.integers(0, 30)), max_size=20),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_cached_cdf_draws_equal_generator_choice(weights, draws, seed):
+    node, edge, size = (np.array(w) / np.sum(w) for w in weights)
+    marginals = Marginals(
+        atom_types=(), node_prior=node, edge_prior=edge,
+        sizes=np.arange(3, 3 + len(size)), size_probs=size,
+    )
+    cdfs = (marginals.node_cdf, marginals.edge_cdf, marginals.size_cdf)
+    mine, numpy_own = np.random.default_rng(seed), np.random.default_rng(seed)
+    for which, n in draws:
+        p = (node, edge, size)[which]
+        got = sampler_module._choice(cdfs[which], mine, n)
+        want = numpy_own.choice(len(p), size=n, p=p)
+        assert np.shape(got) == np.shape(want) and np.array_equal(got, want)
+        if n is not None:
+            assert got.dtype == want.dtype
+    assert mine.random() == numpy_own.random()
+    assert cdfs[2] is marginals.size_cdf  # built once per Marginals
 
 
 # --- external denoiser --------------------------------------------------

@@ -270,6 +270,19 @@ def test_unparseable_smiles_is_quarantined_not_fatal(tmp_path):
     assert row.reason
 
 
+def test_non_ascii_digits_are_quarantined_not_fatal(tmp_path):
+    path = _write(
+        tmp_path / "deck.csv",
+        "id,smiles,label\na1,c1ccccc1,1\nsup,C1CC\u00b2,0\nwide,C\uff11CC\uff11,0\nd1,CCO,0\n",
+    )
+    assay = ingest(path)
+    assert [r.record_id for r in assay.records] == ["a1", "d1"]
+    assert [(row.record_id, row.reason) for row in assay.quarantined] == [
+        ("sup", "unexpected character '\u00b2' at offset 4"),
+        ("wide", "unexpected character '\uff11' at offset 1"),
+    ]
+
+
 def test_bad_label_is_quarantined_with_reason(tmp_path):
     path = _write(
         tmp_path / "deck.csv",

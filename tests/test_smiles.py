@@ -129,6 +129,25 @@ def test_parse_errors_carry_offsets(smiles, offset, fragment):
 
 
 @pytest.mark.parametrize(
+    "smiles,offset",
+    [
+        ("C1CC\u00b2", 4),  # superscript two: isdigit() but not int()
+        ("C\uff11CC\uff11", 1),  # full-width one
+        ("C\u0663CCC\u0663", 1),  # Arabic-Indic three
+        ("C%\uff11\uff12CC%12", 1),
+        ("[\uff11\uff13C]", 0),
+        ("[NH\u00b2]", 0),
+        ("[O-\uff12]", 0),
+        ("[CH3:\uff11]", 0),
+    ],
+)
+def test_only_ascii_digits_are_smiles_digits(smiles, offset):
+    with pytest.raises(ParseError) as excinfo:
+        parse_smiles(smiles)
+    assert excinfo.value.offset == offset
+
+
+@pytest.mark.parametrize(
     "smiles",
     ["C/C=C/C", "[C@H](N)(C)O", "[13C]", "[CH3:1]"],
 )
