@@ -3,20 +3,7 @@
 from .config import ConfigError, RunConfig, dump_config, load_config, resolve_overrides
 from .ingest import Assay, AssayRecord, HeaderError, QuarantinedRow, ingest
 from .runner import AugmentProducts, derive_seed, rebuild_report, run_experiment
-from .splits import (
-    Split,
-    SplitPlan,
-    TooFewScaffolds,
-    assert_no_scaffold_leakage,
-    make_splits,
-    scaffold_key,
-)
-from .synthetic import (
-    SyntheticDeck,
-    make_benchmark_deck,
-    make_split_corpus,
-    write_deck_csv,
-)
+from .splits import Split, SplitPlan, TooFewScaffolds, make_splits
 
 __all__ = [
     "Assay",
@@ -28,19 +15,13 @@ __all__ = [
     "RunConfig",
     "Split",
     "SplitPlan",
-    "SyntheticDeck",
     "TooFewScaffolds",
-    "assert_no_scaffold_leakage",
     "derive_seed",
     "dump_config",
     "ingest",
     "load_config",
-    "make_benchmark_deck",
-    "make_split_corpus",
     "make_splits",
     "rebuild_report",
     "resolve_overrides",
     "run_experiment",
-    "scaffold_key",
-    "write_deck_csv",
 ]

@@ -30,9 +30,7 @@ __all__ = [
     "Split",
     "SplitPlan",
     "TooFewScaffolds",
-    "assert_no_scaffold_leakage",
     "make_splits",
-    "scaffold_key",
 ]
 
 N_SPLITS = 5
@@ -92,17 +90,13 @@ class SplitPlan:
         )
 
 
-def scaffold_key(record: AssayRecord) -> str:
-    """Scaffold identity string; empty for acyclic molecules.
+def _scaffold_keys(records: Sequence[AssayRecord]) -> dict[str, str]:
+    """Each record's scaffold identity string by id; empty for acyclic molecules.
 
     Identity is string-level over this package's deterministic serializer;
-    no graph canonicalization is attempted.
+    no graph canonicalization is attempted. Equal scaffolds are serialized
+    once.
     """
-    return _scaffold_keys([record])[record.record_id]
-
-
-def _scaffold_keys(records: Sequence[AssayRecord]) -> dict[str, str]:
-    """Each record's ``scaffold_key`` by id; equal scaffolds are serialized once."""
     strings: dict[MolGraph, str] = {}
     keys: dict[str, str] = {}
     for record in records:
@@ -180,17 +174,15 @@ def _scaffold_split(assay: Assay, seed: int, keys: dict[str, str]) -> Split:
     )
 
 
-def make_splits(assay: Assay, scheme: str = "random", n_splits: int = N_SPLITS, seed: int = 0) -> SplitPlan:
+def make_splits(assay: Assay, scheme: str = "random", seed: int = 0) -> SplitPlan:
     """Build the split plan for an assay under the requested scheme."""
-    if n_splits != N_SPLITS:
-        raise ValueError(f"the protocol is defined for exactly {N_SPLITS} splits")
     if assay.size < 2 * N_SPLITS:
         raise ValueError("assay too small to split")
     if scheme == "random":
         splits = _random_splits(assay, seed)
     elif scheme == "scaffold":
         keys = _scaffold_keys(assay.records)
-        splits = tuple(_scaffold_split(assay, seed + i, keys) for i in range(n_splits))
+        splits = tuple(_scaffold_split(assay, seed + i, keys) for i in range(N_SPLITS))
         for split in splits:
             _assert_no_leakage(split, keys)
     else:
@@ -208,11 +200,6 @@ def _assert_partition(assay: Assay, split: Split) -> None:
         raise AssertionError("split does not cover the assay")
     if train & valid or train & test or valid & test:
         raise AssertionError("split folds overlap")
-
-
-def assert_no_scaffold_leakage(assay: Assay, split: Split) -> None:
-    """Verify no scaffold string occurs in more than one fold."""
-    _assert_no_leakage(split, _scaffold_keys(assay.records))
 
 
 def _assert_no_leakage(split: Split, keys: dict[str, str]) -> None:

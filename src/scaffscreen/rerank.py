@@ -102,18 +102,17 @@ def candidate_fingerprint(
 def build_candidates(
     ids: Sequence[str],
     scores: Sequence[float],
-    fingerprints: Sequence[Fingerprint] | Callable[[Sequence[str]], Sequence[Fingerprint]],
+    fingerprints: Callable[[Sequence[str]], Sequence[Fingerprint]],
     cap: int = DEFAULT_CANDIDATE_CAP,
 ) -> CandidateSet:
     """Filter to positive scores, sort descending (stable), truncate to ``cap``.
 
-    ``fingerprints`` is either aligned with ``ids`` or a function from a
-    list of record ids to their fingerprints, called once with the kept
-    candidates. No positive score raises :class:`EmptyCandidates`.
+    ``fingerprints`` maps a list of record ids to their fingerprints; it is
+    called once, with the kept candidates. No positive score raises
+    :class:`EmptyCandidates`.
     """
-    lazy = callable(fingerprints)
-    if len(ids) != len(scores) or not (lazy or len(fingerprints) == len(ids)):
-        raise ValueError("ids, scores and fingerprints must align")
+    if len(ids) != len(scores):
+        raise ValueError("ids and scores must align")
     if cap < 1:
         raise ValueError("cap must be positive")
     positive = [k for k, s in enumerate(scores) if s > 0.0]
@@ -125,7 +124,7 @@ def build_candidates(
     return CandidateSet(
         ids=kept,
         scores=np.array([scores[k] for k in positive], dtype=np.float64),
-        fingerprints=tuple(fingerprints(kept) if lazy else (fingerprints[k] for k in positive)),
+        fingerprints=tuple(fingerprints(kept)),
     )
 
 

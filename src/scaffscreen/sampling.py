@@ -84,7 +84,6 @@ class SamplingWeights:
 class LibraryEntry:
     scaffold: MolGraph
     cluster_id: int
-    source_label: int
     source_index: int
 
 
@@ -291,16 +290,16 @@ def cluster_scaffolds(
     return ClusterModel(k, centers, labels.astype(np.int64), silhouette_score=score)
 
 
-def sampling_weights(model: ClusterModel, epsilon: float = WEIGHT_EPSILON) -> SamplingWeights:
+def sampling_weights(model: ClusterModel) -> SamplingWeights:
     """Inverse-size cluster weights, normalized to a distribution.
 
-    Smaller clusters strictly outweigh larger ones; the epsilon only guards
-    the division.
+    Smaller clusters strictly outweigh larger ones; ``WEIGHT_EPSILON`` only
+    guards the division.
     """
     counts = model.cluster_sizes
     if (counts == 0).any():
         raise ValueError("every cluster must be nonempty")
-    weights = 1.0 / (counts + epsilon)
+    weights = 1.0 / (counts + WEIGHT_EPSILON)
     probabilities = weights / weights.sum()
     return SamplingWeights(counts=counts, weights=weights, probabilities=probabilities)
 
@@ -311,7 +310,6 @@ def sample_library(
     weights: SamplingWeights,
     n_draws: int,
     seed: int = 0,
-    source_labels: Sequence[int] | None = None,
 ) -> ScaffoldLibrary:
     """Draw ``n_draws`` scaffolds with replacement, cluster-weighted.
 
@@ -321,25 +319,18 @@ def sample_library(
         raise ValueError("n_draws must be at least 1")
     if len(scaffolds) != len(model.assignments):
         raise ValueError("scaffolds and assignments are misaligned")
-    labels = list(source_labels) if source_labels is not None else [1] * len(scaffolds)
     members = [np.flatnonzero(model.assignments == c) for c in range(model.k)]
     rng = np.random.default_rng(seed)
     clusters = rng.choice(model.k, size=n_draws, p=weights.probabilities)
     entries = []
     for c in clusters:
         pick = int(members[c][rng.integers(len(members[c]))])
-        entries.append(
-            LibraryEntry(
-                scaffold=scaffolds[pick],
-                cluster_id=int(c),
-                source_label=labels[pick],
-                source_index=pick,
-            )
-        )
+        entries.append(LibraryEntry(scaffold=scaffolds[pick], cluster_id=int(c), source_index=pick))
     return ScaffoldLibrary(entries=tuple(entries))
 
 
 def write_library_csv(path, library: ScaffoldLibrary) -> None:
+    """One row per draw; ``source_label`` is 1, as the library holds training actives only."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["scaffold_smiles", "cluster_id", "source_label"])
@@ -347,4 +338,4 @@ def write_library_csv(path, library: ScaffoldLibrary) -> None:
         for entry in library.entries:
             if (smiles := strings.get(entry.scaffold)) is None:
                 smiles = strings[entry.scaffold] = to_smiles(entry.scaffold)
-            writer.writerow([smiles, entry.cluster_id, entry.source_label])
+            writer.writerow([smiles, entry.cluster_id, 1])

@@ -7,12 +7,8 @@ import pytest
 
 from scaffscreen.pipeline.config import RunConfig
 from scaffscreen.pipeline.runner import run_experiment
-from scaffscreen.pipeline.synthetic import (
-    SyntheticDeck,
-    make_benchmark_deck,
-    make_split_corpus,
-    write_deck_csv,
-)
+
+from helpers.decks import SyntheticDeck, make_benchmark_deck, make_split_corpus, write_deck_csv
 
 DATA_DIR = Path(__file__).parent / "data"
 

@@ -5,7 +5,8 @@ side chains, so every record parses, passes the valence screen, and maps
 onto a known scaffold. The deck assay concentrates its actives on four
 cores with a deliberately skewed 12/4/2/2 cluster profile; the broader
 corpus spreads uniformly over a larger pool and is meant for split
-protocol checks rather than model benchmarks.
+protocol checks rather than model benchmarks. ``scaffold_key`` recomputes a
+record's scaffold bin on its own, as the split tests' oracle.
 """
 
 from __future__ import annotations
@@ -16,11 +17,12 @@ from pathlib import Path
 
 import numpy as np
 
-from ..chem import (
+from scaffscreen.chem import (
     Atom,
     BondOrder,
     MolGraph,
     check_valence,
+    murcko_scaffold,
     parse_smiles,
     remaining_capacity,
     to_smiles,
@@ -32,6 +34,8 @@ __all__ = [
     "SyntheticDeck",
     "make_benchmark_deck",
     "make_split_corpus",
+    "scaffold_key",
+    "scaffold_overlap",
     "write_deck_csv",
 ]
 
@@ -252,3 +256,18 @@ def write_deck_csv(deck: SyntheticDeck, path: str | Path) -> None:
         writer.writerow(["id", "smiles", "label"])
         for record_id, smiles, label in zip(deck.ids, deck.smiles, deck.labels):
             writer.writerow([record_id, smiles, label])
+
+
+def scaffold_key(mol: MolGraph) -> str:
+    """The Murcko scaffold's SMILES, or "" for an acyclic molecule."""
+    scaffold = murcko_scaffold(mol)
+    return "" if scaffold is None else to_smiles(scaffold)
+
+
+def scaffold_overlap(mols_by_id, split) -> set[str]:
+    """Scaffold keys found in more than one of ``split``'s three folds."""
+    folds = [
+        {scaffold_key(mols_by_id[rid]) for rid in ids}
+        for ids in (split.train_ids, split.valid_ids, split.test_ids)
+    ]
+    return (folds[0] & folds[1]) | (folds[0] & folds[2]) | (folds[1] & folds[2])

@@ -35,12 +35,12 @@ from scaffscreen.pipeline.config import RunConfig, resolve_overrides
 from scaffscreen.pipeline.ingest import ingest
 from scaffscreen.pipeline.runner import augment_split, derive_seed, run_experiment
 from scaffscreen.pipeline.splits import make_splits
-from scaffscreen.pipeline.synthetic import make_benchmark_deck, write_deck_csv
 from scaffscreen.rerank import build_candidates, lambda_sweep, mmr_rerank
 from scaffscreen.sampling import ClusterModel, sample_library, sampling_weights
 from scaffscreen.selftrain import FingerprintClassifier, predict, pseudo_label
 
 from helpers.chain_stack import split_stack
+from helpers.decks import make_benchmark_deck, write_deck_csv
 from helpers.reference_selftrain import one_cell_loss_and_grad
 
 pytestmark = pytest.mark.filterwarnings("ignore:.*active fraction.*:UserWarning")
@@ -50,6 +50,12 @@ def _verdict(tag: str, ok: bool, detail: str) -> None:
     line = f"[{tag}] {'PASS' if ok else 'FAIL'}: {detail}"
     print(line)
     assert ok, line
+
+
+def fps_by_id(ids, fps):
+    """The fingerprint function ``build_candidates`` takes, over ``fps`` aligned with ``ids``."""
+    table = dict(zip(ids, fps))
+    return lambda kept: [table[record_id] for record_id in kept]
 
 
 RING_CORES = [
@@ -221,7 +227,7 @@ def test_mmr_identity_and_diversity_tradeoff():
             for _ in range(size)
         ]
         ids = [f"c{i}" for i in range(size)]
-        candidates = build_candidates(ids, scores, fps, cap=size)
+        candidates = build_candidates(ids, scores, fps_by_id(ids, fps), cap=size)
         if list(mmr_rerank(candidates, 1.0).ids) == list(candidates.ids):
             identity_ok += 1
 
@@ -243,7 +249,7 @@ def test_mmr_identity_and_diversity_tradeoff():
         fps4.append(Fingerprint(bits=1 << (40 + i), nbits=nbits, radius=2))
         labels4.append(1 if i % 10 == 0 else 0)
     original = RankedList.from_records(zip(ids4, scores4, labels4))
-    candidates = build_candidates(ids4, np.asarray(scores4), fps4, cap=300)
+    candidates = build_candidates(ids4, np.asarray(scores4), fps_by_id(ids4, fps4), cap=300)
     half, full = lambda_sweep(original, candidates, (0.5, 1.0), k=100)
 
     ok = identity_ok == 100 and half.sd_after > full.sd_after

@@ -5,6 +5,8 @@
 positional arguments of the traced calls. A rename or deletion in the
 program that breaks either should fail here before it breaks a traced
 benchmark run. The module is loaded from its path and never installed.
+``screenbench/decks.py`` builds the workloads' assays from names it imports
+from ``scaffscreen.chem``, so those must resolve too.
 
 ``screenbench/checks.py`` recomputes the report's lambda sweep from the
 cells' rerank.csv files; the mini run's report must equal that oracle.
@@ -29,6 +31,7 @@ that way; a step that routes around them reads 0 in the trace.
 
 from __future__ import annotations
 
+import ast
 import dataclasses
 import importlib
 import importlib.util
@@ -53,7 +56,8 @@ from scaffscreen.diffusion import sampler
 from scaffscreen.pipeline.ingest import ingest
 from scaffscreen.pipeline.runner import derive_seed, rebuild_report, write_augmentation
 from scaffscreen.pipeline.splits import make_splits
-from scaffscreen.pipeline.synthetic import make_benchmark_deck
+
+from helpers.decks import make_benchmark_deck
 
 SCREENBENCH = Path(__file__).resolve().parents[1] / "screenbench"
 LAYERTRACE = SCREENBENCH / "layertrace.py"
@@ -100,6 +104,20 @@ def test_every_traced_name_resolves():
         except (ImportError, AttributeError, KeyError):
             missing.append(f"{module_name}:{attribute}")
     assert not missing, f"layer trace targets missing from the program: {missing}"
+
+
+def test_every_name_the_deck_builder_imports_resolves():
+    tree = ast.parse((SCREENBENCH / "decks.py").read_text(encoding="utf-8"))
+    names = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "scaffscreen.chem"
+        for alias in node.names
+    ]
+    chem = importlib.import_module("scaffscreen.chem")
+    assert names, "screenbench/decks.py no longer imports from scaffscreen.chem"
+    missing = [name for name in names if not hasattr(chem, name)]
+    assert not missing, f"deck builder imports missing from scaffscreen.chem: {missing}"
 
 
 def test_counted_arguments_keep_their_positions():

@@ -30,6 +30,12 @@ def _fp(positions, nbits=64) -> Fingerprint:
     return Fingerprint(bits=bits, nbits=nbits, radius=2)
 
 
+def fps_by_id(ids, fps):
+    """The fingerprint function ``build_candidates`` takes, over ``fps`` aligned with ``ids``."""
+    table = dict(zip(ids, fps))
+    return lambda kept: [table[record_id] for record_id in kept]
+
+
 # Three candidates with sigmoid scores 0.9, 0.8, 0.7 and pairwise scaffold
 # similarities sim(1,2)=0.9, sim(1,3)=0.1, sim(2,3)=0.2, realized exactly
 # by bit counts: |18 & 20|/|18 | 20| = 18/20 and so on.
@@ -38,7 +44,8 @@ TRACE_SCORES = (math.log(9.0), math.log(4.0), math.log(7.0 / 3.0))
 
 
 def _trace_candidates():
-    return build_candidates(("c1", "c2", "c3"), TRACE_SCORES, TRACE_FPS)
+    ids = ("c1", "c2", "c3")
+    return build_candidates(ids, TRACE_SCORES, fps_by_id(ids, TRACE_FPS))
 
 
 def test_trace_fixture_has_the_intended_geometry():
@@ -68,7 +75,7 @@ def test_lambda_one_reproduces_score_order():
         ids = tuple(f"m{i}" for i in range(size))
         scores = tuple(float(s) for s in rng.uniform(0.1, 5.0, size=size))
         fps = tuple(_fp(rng.choice(64, size=6, replace=False)) for _ in range(size))
-        candidates = build_candidates(ids, scores, fps)
+        candidates = build_candidates(ids, scores, fps_by_id(ids, fps))
         assert mmr_rerank(candidates, lam=1.0).ids == candidates.ids
 
 
@@ -85,7 +92,7 @@ def test_rerank_returns_a_permutation():
         ids = tuple(f"m{i}" for i in range(size))
         scores = tuple(float(s) for s in rng.uniform(0.1, 3.0, size=size))
         fps = tuple(_fp(rng.choice(64, size=5, replace=False)) for _ in range(size))
-        candidates = build_candidates(ids, scores, fps)
+        candidates = build_candidates(ids, scores, fps_by_id(ids, fps))
         reranked = mmr_rerank(candidates, lam)
         assert sorted(reranked.ids) == sorted(candidates.ids)
         assert len(reranked.objective) == size
@@ -95,11 +102,13 @@ def test_objective_ties_break_by_score_then_position():
     # Both followers are entirely dissimilar to the seed, tying the
     # diversity term at zero; the higher raw score must come first.
     fps = (_fp({0, 1}), _fp({10, 11}), _fp({20, 21}))
-    candidates = build_candidates(("seed", "low", "high"), (3.0, 0.5, 1.0), fps)
+    ids = ("seed", "low", "high")
+    candidates = build_candidates(ids, (3.0, 0.5, 1.0), fps_by_id(ids, fps))
     assert mmr_rerank(candidates, lam=0.0).ids == ("seed", "high", "low")
     # Identical scores as well: input order decides.
     fps = (_fp({0, 1}), _fp({10, 11}), _fp({20, 21}))
-    candidates = build_candidates(("seed", "first", "second"), (3.0, 1.0, 1.0), fps)
+    ids = ("seed", "first", "second")
+    candidates = build_candidates(ids, (3.0, 1.0, 1.0), fps_by_id(ids, fps))
     assert mmr_rerank(candidates, lam=0.0).ids == ("seed", "first", "second")
 
 
@@ -115,19 +124,17 @@ def test_lambda_bounds_are_checked():
 
 
 def test_candidates_keep_only_positive_scores():
-    fps = tuple(_fp({i}) for i in range(4))
-    candidates = build_candidates(
-        ("a", "b", "c", "d"), (1.2, 0.0, -0.5, 2.0), fps
-    )
+    ids = ("a", "b", "c", "d")
+    fps = fps_by_id(ids, (_fp({i}) for i in range(4)))
+    candidates = build_candidates(ids, (1.2, 0.0, -0.5, 2.0), fps)
     assert candidates.ids == ("d", "a")
     assert candidates.scores.tolist() == [2.0, 1.2]
 
 
 def test_candidates_sort_stably_and_cap():
-    fps = tuple(_fp({i}) for i in range(5))
-    candidates = build_candidates(
-        ("a", "b", "c", "d", "e"), (1.0, 3.0, 1.0, 2.0, 1.0), fps, cap=4
-    )
+    ids = ("a", "b", "c", "d", "e")
+    fps = fps_by_id(ids, (_fp({i}) for i in range(5)))
+    candidates = build_candidates(ids, (1.0, 3.0, 1.0, 2.0, 1.0), fps, cap=4)
     assert candidates.ids == ("b", "d", "a", "c")
     assert candidates.size == 4
 
@@ -142,11 +149,10 @@ def test_a_fingerprint_function_is_called_only_for_kept_candidates():
         asked.append(tuple(record_ids))
         return [fps[record_id] for record_id in record_ids]
 
-    lazy = build_candidates(ids, scores, fingerprint_of, cap=3)
-    eager = build_candidates(ids, scores, tuple(fps.values()), cap=3)
-    assert lazy.ids == eager.ids == ("b", "d", "a")
-    assert lazy.scores.tolist() == eager.scores.tolist()
-    assert lazy.fingerprints == eager.fingerprints
+    candidates = build_candidates(ids, scores, fingerprint_of, cap=3)
+    assert candidates.ids == ("b", "d", "a")
+    assert candidates.scores.tolist() == [3.0, 2.0, 1.0]
+    assert candidates.fingerprints == (fps["b"], fps["d"], fps["a"])
     assert asked == [("b", "d", "a")]
 
     asked.clear()
@@ -156,17 +162,17 @@ def test_a_fingerprint_function_is_called_only_for_kept_candidates():
 
 
 def test_candidate_validation():
-    fps = (_fp({0}),)
+    fps = fps_by_id(("a", "b"), (_fp({0}), _fp({1})))
     with pytest.raises(EmptyCandidates):
         build_candidates(("a",), (-1.0,), fps)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="ids and scores must align"):
         build_candidates(("a", "b"), (1.0,), fps)
     with pytest.raises(ValueError):
         build_candidates(("a",), (1.0,), fps, cap=0)
 
 
 def test_singleton_candidate_set():
-    candidates = build_candidates(("only",), (2.0,), (_fp({0}),))
+    candidates = build_candidates(("only",), (2.0,), fps_by_id(("only",), (_fp({0}),)))
     reranked = mmr_rerank(candidates, lam=0.5)
     assert reranked.ids == ("only",)
     assert reranked.objective == pytest.approx([0.5 / (1.0 + math.exp(-2.0))])
@@ -190,7 +196,7 @@ def _report_fixture():
     records = [(i, s, 1) for i, s in zip(ids, scores)]
     records += [("miss1", -1.0, 0), ("miss2", -2.0, 0)]
     original = RankedList.from_records(records)
-    return original, build_candidates(ids, scores, fps)
+    return original, build_candidates(ids, scores, fps_by_id(ids, fps))
 
 
 def test_rerank_lifts_scaffold_diversity_at_fixed_depth():
@@ -260,7 +266,7 @@ def _tie_heavy_sets(count: int, seed: int):
         labels[0] = 1
         records = [(i, s, int(v)) for i, s, v in zip(ids, scores, labels)]
         records += [(f"neg{i}", -1.0, 0) for i in range(size)]
-        yield RankedList.from_records(records), build_candidates(ids, scores, fps)
+        yield RankedList.from_records(records), build_candidates(ids, scores, fps_by_id(ids, fps))
 
 
 def test_matrix_rerank_equals_the_pair_loop_at_every_lambda():

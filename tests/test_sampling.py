@@ -376,15 +376,11 @@ def test_draw_frequencies_match_inverse_size_distribution():
 def test_library_entries_are_consistent():
     model = _model([0, 0, 0, 1], k=2)
     weights = sampling_weights(model)
-    library = sample_library(
-        SCAFFOLD_POOL, model, weights, n_draws=50, seed=3, source_labels=[1, 1, 0, 1]
-    )
+    library = sample_library(SCAFFOLD_POOL, model, weights, n_draws=50, seed=3)
     assert library.size == 50
-    labels = [1, 1, 0, 1]
     for entry in library.entries:
         assert model.assignments[entry.source_index] == entry.cluster_id
         assert entry.scaffold == SCAFFOLD_POOL[entry.source_index]
-        assert entry.source_label == labels[entry.source_index]
     counts = library.cluster_counts(2)
     assert counts.sum() == 50
 
@@ -411,9 +407,7 @@ def test_sampling_input_validation():
 def test_library_csv_layout(tmp_path):
     model = _model([0, 0, 0, 1], k=2)
     weights = sampling_weights(model)
-    library = sample_library(
-        SCAFFOLD_POOL, model, weights, n_draws=3, seed=1, source_labels=[1, 0, 1, 1]
-    )
+    library = sample_library(SCAFFOLD_POOL, model, weights, n_draws=3, seed=1)
     path = tmp_path / "library.csv"
     write_library_csv(path, library)
     lines = path.read_text().splitlines()
@@ -422,7 +416,7 @@ def test_library_csv_layout(tmp_path):
     for line, entry in zip(lines[1:], library.entries):
         smiles, cluster_id, label = line.split(",")
         assert int(cluster_id) == entry.cluster_id
-        assert int(label) == entry.source_label
+        assert label == "1"
         assert smiles == to_smiles(entry.scaffold)
 
 
