@@ -39,13 +39,13 @@ sd_k
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
+from .artifacts import DECIMALS, write_json
 from .chem.graph import MolGraph
 from .chem.scaffold import murcko_scaffold
 from .fingerprints import DEFAULT_NBITS, DEFAULT_RADIUS, Fingerprint, ecfps, tanimoto_matrix
@@ -64,9 +64,6 @@ __all__ = [
     "sd_k",
     "write_metric_report",
 ]
-
-REPORT_DECIMALS = 6
-
 
 class DegenerateLabels(ValueError):
     """Raised when a metric is undefined for the given label mix."""
@@ -215,7 +212,4 @@ def sd_k(
 
 def write_metric_report(path, values: dict[str, float]) -> None:
     """Serialize a metric mapping as JSON with six-decimal values."""
-    rounded = {key: round(float(val), REPORT_DECIMALS) for key, val in sorted(values.items())}
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(rounded, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, {key: round(float(val), DECIMALS) for key, val in values.items()})

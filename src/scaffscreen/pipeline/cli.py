@@ -13,11 +13,12 @@ import json
 import sys
 from pathlib import Path
 
+from ..artifacts import DECIMALS
 from ..chem import MolGraph, ParseError, parse_smiles
 from ..diffusion import ProtocolError
 from ..metrics import RankedList, write_metric_report
 from ..selftrain import load_checkpoint, predict
-from .config import ConfigError, RunConfig, load_config, resolve_overrides
+from .config import ConfigError, RunConfig, load_config, parse_lambda_grid, resolve_overrides
 from .ingest import AssayRecord, HeaderError, ingest
 from .runner import (
     cell_metrics,
@@ -45,10 +46,6 @@ _KNOWN_ERRORS = (
 )
 
 
-def _parse_lambda_grid(text: str) -> tuple[float, ...]:
-    return tuple(float(tok) for tok in text.split(",") if tok.strip())
-
-
 def _resolve(args: argparse.Namespace) -> RunConfig:
     config = load_config(args.config) if getattr(args, "config", None) else RunConfig()
     overrides = {
@@ -62,7 +59,7 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
         overrides["augment_enabled"] = False
     sweep = getattr(args, "lambda_sweep", None)
     if sweep:
-        overrides["lambda_grid"] = _parse_lambda_grid(sweep)
+        overrides["lambda_grid"] = parse_lambda_grid(sweep)
     return resolve_overrides(config, **overrides)
 
 
@@ -71,7 +68,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     summary = {
         "records": assay.size,
         "actives": assay.n_actives,
-        "active_fraction": round(assay.active_fraction, 6),
+        "active_fraction": round(assay.active_fraction, DECIMALS),
         "quarantined": len(assay.quarantined),
     }
     print(json.dumps(summary, indent=2, sort_keys=True))
@@ -154,7 +151,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     write_metric_report(args.out, values)
     for note in notes:
         print(f"note: {note}", file=sys.stderr)
-    print(json.dumps({k: round(v, 6) for k, v in sorted(values.items())}, indent=2))
+    print(json.dumps({k: round(v, DECIMALS) for k, v in sorted(values.items())}, indent=2))
     return 0
 
 

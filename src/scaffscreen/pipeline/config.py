@@ -22,6 +22,7 @@ __all__ = [
     "ConfigError",
     "RunConfig",
     "load_config",
+    "parse_lambda_grid",
     "resolve_overrides",
     "dump_config",
 ]
@@ -149,13 +150,18 @@ _INI_NAMES = {
 _DEFAULTS = RunConfig()
 
 
+def parse_lambda_grid(text: str) -> tuple[float, ...]:
+    """The lambdas of a comma-separated grid, as ``lambda_grid`` and ``--lambda-sweep`` give it."""
+    try:
+        return tuple(float(tok) for tok in text.split(",") if tok.strip())
+    except ValueError as exc:
+        raise ConfigError(f"bad lambda grid {text!r}") from exc
+
+
 def _coerce(name: str, raw: str):
     raw = raw.strip()
     if name == "lambda_grid":
-        try:
-            return tuple(float(tok) for tok in raw.split(",") if tok.strip())
-        except ValueError as exc:
-            raise ConfigError(f"bad lambda grid {raw!r}") from exc
+        return parse_lambda_grid(raw)
     default = getattr(_DEFAULTS, name)
     if isinstance(default, bool):
         lowered = raw.lower()

@@ -15,6 +15,7 @@ import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
+from ..artifacts import write_csv
 from ..chem.graph import MolGraph
 from ..chem.smiles import ParseError, SmilesFeatureWarning, parse_smiles
 
@@ -124,8 +125,4 @@ def ingest(path: str | Path, quarantine_path: str | Path | None = None) -> Assay
 
 
 def write_quarantine_csv(path: str | Path, rows: tuple[QuarantinedRow, ...]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["id", "smiles", "reason"])
-        for row in rows:
-            writer.writerow([row.record_id, row.smiles, row.reason])
+    write_csv(path, ["id", "smiles", "reason"], ((r.record_id, r.smiles, r.reason) for r in rows))

@@ -13,6 +13,10 @@ order. ``run_experiment`` makes it once after the last cell, with the assay
 and config text it holds, and ``rebuild_report`` makes the same call, so a
 rebuild rewrites every file byte for byte and needs no earlier report.
 
+Every file is read and written through ``scaffscreen.artifacts``, which
+fixes the CSV and JSON text and the six-decimal report figures; only
+model.json keeps the compact form ``selftrain.save_checkpoint`` gives it.
+
 Layout::
 
     <run_dir>/
@@ -30,9 +34,7 @@ Layout::
 from __future__ import annotations
 
 import contextlib
-import csv
 import hashlib
-import json
 import platform
 from dataclasses import dataclass
 from pathlib import Path
@@ -40,6 +42,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ..artifacts import DECIMALS, read_csv, read_json, write_csv, write_json
 from ..chem import MolGraph, murcko_scaffold, parse_smiles, to_smiles
 from ..diffusion import (
     CosineSchedule,
@@ -110,6 +113,9 @@ __all__ = [
     "write_augmentation",
     "write_scores_csv",
 ]
+
+_GENERATED_HEADER = ["id", "smiles", "cluster_id", "valid"]
+_SCORES_HEADER = ["id", "smiles", "score", "label"]
 
 
 def derive_seed(root: int, *parts: int | str) -> int:
@@ -203,8 +209,9 @@ def augment_split(
         )
 
     fps = ecfps(scaffolds, config.radius, config.nbits)
-    # k_min is at least 2, so k-means runs on three scaffolds or more.
-    k_hi = min(config.k_max, len(scaffolds) - 1)
+    # k_min is at least 2, so k-means runs on three scaffolds or more, and
+    # no k above the distinct fingerprints could fill every cluster.
+    k_hi = min(config.k_max, len(scaffolds) - 1, len(set(fps)))
     if k_hi >= config.k_min:
         k_range = range(config.k_min, k_hi + 1)
         model = cluster_scaffolds(fps, k_range=k_range, seed=derive_seed(seed, "kmeans"))
@@ -272,16 +279,8 @@ def write_augmentation(
 
 def read_generated_pool(path: Path) -> tuple[list[str], list[MolGraph]]:
     """Ids and molecules of the valid rows of a generated.csv."""
-    ids: list[str] = []
-    mols: list[MolGraph] = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for row in reader:
-            if int(row[3]):
-                ids.append(row[0])
-                mols.append(parse_smiles(row[1]))
-    return ids, mols
+    valid = [row for row in read_csv(path, _GENERATED_HEADER, "generated") if int(row[3])]
+    return [row[0] for row in valid], [parse_smiles(row[1]) for row in valid]
 
 
 def _labeled_set(records: Sequence[AssayRecord]) -> LabeledSet:
@@ -318,18 +317,14 @@ def train_cells(
 
 
 def _write_generated_csv(path: Path, entries: Sequence[GeneratedEntry]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["id", "smiles", "cluster_id", "valid"])
-        for idx, entry in enumerate(entries):
-            writer.writerow(
-                [
-                    f"gen{idx:04d}",
-                    to_smiles(entry.molecule),
-                    entry.cluster_id,
-                    int(entry.valid),
-                ]
-            )
+    write_csv(
+        path,
+        _GENERATED_HEADER,
+        (
+            (f"gen{idx:04d}", to_smiles(e.molecule), e.cluster_id, int(e.valid))
+            for idx, e in enumerate(entries)
+        ),
+    )
 
 
 def _write_generation_report(path: Path, products: AugmentProducts) -> None:
@@ -337,27 +332,30 @@ def _write_generation_report(path: Path, products: AugmentProducts) -> None:
     payload = {
         "total": report.total if report else 0,
         "n_valid": report.n_valid if report else 0,
-        "validity_rate": round(report.validity_rate, 6) if report else 0.0,
+        "validity_rate": round(report.validity_rate, DECIMALS) if report else 0.0,
         "k": products.model.k if products.model else 0,
         "silhouette": (
             None
             if products.model is None or np.isnan(products.model.silhouette_score)
-            else round(float(products.model.silhouette_score), 6)
+            else round(float(products.model.silhouette_score), DECIMALS)
         ),
         "library_per_cluster": products.library_counts,
         "valid_per_cluster": products.valid_counts,
         "excluded_acyclic_actives": products.excluded_acyclic,
         "note": products.note,
     }
-    _write_json(path, payload)
+    write_json(path, payload)
 
 
 def write_scores_csv(path: Path, rows: Sequence[tuple[str, str, float, int]]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["id", "smiles", "score", "label"])
-        for record_id, smiles, score, label in rows:
-            writer.writerow([record_id, smiles, repr(float(score)), label])
+    """One row per record, each score at full float precision."""
+    write_csv(path, _SCORES_HEADER, ((r, smi, repr(float(s)), y) for r, smi, s, y in rows))
+
+
+def read_scores_csv(path: Path) -> list[tuple[str, str, float, int]]:
+    return [
+        (r, smi, float(s), int(y)) for r, smi, s, y in read_csv(path, _SCORES_HEADER, "scores")
+    ]
 
 
 def cell_metrics(
@@ -367,15 +365,18 @@ def cell_metrics(
     notes: list[str],
     where: str,
 ) -> dict[str, float]:
+    """A ranking's metrics; those at depth ``top_k`` need ``top_k`` records, or a note says why."""
     k = config.top_k
+    deep = ranked.n_records >= k
     values: dict[str, float] = {}
     try:
         values["logauc"] = log_auc(ranked, config.fpr_lo, config.fpr_hi)
         values["bedroc"] = bedroc(ranked, config.bedroc_alpha)
-        values[f"ef{k}"] = ef_k(ranked, k)
+        if deep:
+            values[f"ef{k}"] = ef_k(ranked, k)
     except DegenerateLabels as exc:
         notes.append(f"{where}: {exc}")
-    if ranked.n_records >= k:
+    if deep:
         values[f"dcg{k}"] = dcg_k(ranked, k)
         values[f"sd{k}"] = sd_k(
             [mols_by_id[i] for i in ranked.ids[:k]],
@@ -483,7 +484,7 @@ def _write_report(
     for i in range(n_splits):
         split_dir = run_dir / "splits" / f"split{i}"
         if config.augment_enabled:
-            report = json.loads((split_dir / "generation_report.json").read_text(encoding="utf-8"))
+            report = read_json(split_dir / "generation_report.json")
             if report["note"]:
                 notes.append(f"split{i}: {report['note']}")
             pool_ids, pool = read_generated_pool(split_dir / "generated.csv")
@@ -506,18 +507,14 @@ def _write_report(
     report_dir = run_dir / "report"
     report_dir.mkdir(exist_ok=True)
     metric_names = ["logauc", "bedroc", f"ef{k}", f"dcg{k}", f"sd{k}"]
-    with open(report_dir / "aggregate.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["split", "seed"] + metric_names)
-        for i, j, values in cell_rows:
-            cells = [f"{values[name]:.6f}" if name in values else "" for name in metric_names]
-            writer.writerow([i, j] + cells)
-        for stat, func in (("mean", np.mean), ("std", np.std)):
-            row = [stat, ""]
-            for name in metric_names:
-                present = [v[name] for _, _, v in cell_rows if name in v]
-                row.append(f"{func(present):.6f}" if present else "")
-            writer.writerow(row)
+    aggregate: list[list[object]] = [
+        [i, j, *(f"{v[name]:.{DECIMALS}f}" if name in v else "" for name in metric_names)]
+        for i, j, v in cell_rows
+    ]
+    for stat, func in (("mean", np.mean), ("std", np.std)):
+        present = [[v[name] for _, _, v in cell_rows if name in v] for name in metric_names]
+        aggregate.append([stat, "", *(f"{func(p):.{DECIMALS}f}" if p else "" for p in present)])
+    write_csv(report_dir / "aggregate.csv", ["split", "seed"] + metric_names, aggregate)
 
     pooled_payload: dict[str, object] = {"per_seed": []}
     pooled_values: dict[str, list[float]] = {name: [] for name in metric_names}
@@ -526,15 +523,15 @@ def _write_report(
         mols = {rid: mol_of[rid] for rid, _, _ in rows}
         values = cell_metrics(ranked, mols, config, notes, f"pooled/seed{j}")
         pooled_payload["per_seed"].append(
-            {"seed": j, **{name: round(values[name], 6) for name in values}}
+            {"seed": j, **{name: round(values[name], DECIMALS) for name in values}}
         )
         for name, value in values.items():
             pooled_values[name].append(value)
     for stat, func in (("mean", np.mean), ("std", np.std)):
         pooled_payload[stat] = {
-            name: round(float(func(vals)), 6) for name, vals in pooled_values.items() if vals
+            name: round(float(func(vals)), DECIMALS) for name, vals in pooled_values.items() if vals
         }
-    _write_json(report_dir / "pooled_metrics.json", pooled_payload)
+    write_json(report_dir / "pooled_metrics.json", pooled_payload)
 
     figures = ("ef_before", "ef_after", "sd_before", "sd_after")
     means = [
@@ -545,19 +542,16 @@ def _write_report(
     ]
     write_sweep_csv(report_dir / "lambda_sweep.csv", means, k)
 
-    with open(report_dir / "umap_input.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["id", "origin", "label", "fp_hex"])
-        records = assay.records
-        fps = ecfps(
-            [r.mol for r in records] + [mol for _, mol in generated], config.radius, config.nbits
-        )
-        for record, fp in zip(records, fps):
-            writer.writerow([record.record_id, "assay", record.label, fp.to_hex()])
-        for (gen_id, _), fp in zip(generated, fps[len(records) :]):
-            writer.writerow([gen_id, "generated", "", fp.to_hex()])
+    points = [(r.record_id, "assay", r.label, r.mol) for r in assay.records]
+    points += [(gen_id, "generated", "", mol) for gen_id, mol in generated]
+    fps = ecfps([p[3] for p in points], config.radius, config.nbits)
+    write_csv(
+        report_dir / "umap_input.csv",
+        ["id", "origin", "label", "fp_hex"],
+        ((*p[:3], fp.to_hex()) for p, fp in zip(points, fps)),
+    )
 
-    _write_json(report_dir / "notes.json", {"notes": list(dict.fromkeys(notes))})
+    write_json(report_dir / "notes.json", {"notes": list(dict.fromkeys(notes))})
 
     _write_manifest(run_dir, config, config_text, assay, stage_seeds(config, n_splits))
 
@@ -609,18 +603,6 @@ def run_experiment(config: RunConfig, run_dir: str | Path | None = None) -> Path
     return run_dir
 
 
-def read_scores_csv(path: Path) -> list[tuple[str, str, float, int]]:
-    rows: list[tuple[str, str, float, int]] = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != ["id", "smiles", "score", "label"]:
-            raise ValueError(f"{path}: unexpected scores header {header!r}")
-        for row in reader:
-            rows.append((row[0], row[1], float(row[2]), int(row[3])))
-    return rows
-
-
 def rebuild_report(run_dir: str | Path) -> Path:
     """Rewrite every metrics.json, ``report/`` and manifest.json of a run.
 
@@ -663,10 +645,4 @@ def _write_manifest(
         "numpy": np.__version__,
         "seeds": seeds,
     }
-    _write_json(run_dir / "manifest.json", manifest)
-
-
-def _write_json(path: Path, payload: dict) -> None:
-    """Indented, key-sorted JSON with a final newline."""
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    path.write_text(text, encoding="utf-8", newline="\n")
+    write_json(run_dir / "manifest.json", manifest)

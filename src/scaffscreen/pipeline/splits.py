@@ -15,12 +15,12 @@ folds, which is verified after assignment.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
+from ..artifacts import read_json, write_json
 from ..chem.graph import MolGraph
 from ..chem.scaffold import murcko_scaffold
 from ..chem.smiles import to_smiles
@@ -68,14 +68,11 @@ class SplitPlan:
                 for s in self.splits
             ],
         }
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, payload)
 
     @classmethod
     def from_json(cls, path) -> "SplitPlan":
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
+        payload = read_json(path)
         return cls(
             scheme=payload["scheme"],
             seed=payload["seed"],

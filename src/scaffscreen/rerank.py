@@ -21,7 +21,6 @@ position), that is the candidate the tie rule above picks.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -29,6 +28,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .artifacts import DECIMALS, read_csv, write_csv
 from .chem.graph import MolGraph
 from .chem.scaffold import murcko_scaffold
 from .fingerprints import DEFAULT_NBITS, DEFAULT_RADIUS, Fingerprint, ecfps, tanimoto_matrix
@@ -211,26 +211,18 @@ def _sweep_header(k: int) -> list[str]:
 
 def write_sweep_csv(path, reports: Sequence[LambdaReport], k: int = 100) -> None:
     """One row per lambda, figures to six decimals, headed for depth ``k``."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(_sweep_header(k))
-        for report in reports:
-            writer.writerow(
-                [
-                    f"{report.lam:g}",
-                    f"{report.ef_before:.6f}",
-                    f"{report.ef_after:.6f}",
-                    f"{report.sd_before:.6f}",
-                    f"{report.sd_after:.6f}",
-                ]
-            )
+    write_csv(
+        path,
+        _sweep_header(k),
+        (
+            [f"{r.lam:g}"]
+            + [f"{x:.{DECIMALS}f}" for x in (r.ef_before, r.ef_after, r.sd_before, r.sd_after)]
+            for r in reports
+        ),
+    )
 
 
 def read_sweep_csv(path, k: int = 100) -> list[LambdaReport]:
     """The rows of a sweep csv written for depth ``k``, as the values it holds."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != _sweep_header(k):
-            raise ValueError(f"{path}: unexpected sweep header {header!r}")
-        return [LambdaReport(*(float(v) for v in row)) for row in reader]
+    rows = read_csv(path, _sweep_header(k), "sweep")
+    return [LambdaReport(*(float(v) for v in row)) for row in rows]

@@ -25,12 +25,12 @@ same integer per bit as the sum over its members.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
+from .artifacts import write_csv
 from .chem.graph import MolGraph
 from .chem.smiles import to_smiles
 from .fingerprints import Fingerprint, fingerprint_matrix
@@ -331,11 +331,7 @@ def sample_library(
 
 def write_library_csv(path, library: ScaffoldLibrary) -> None:
     """One row per draw; ``source_label`` is 1, as the library holds training actives only."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["scaffold_smiles", "cluster_id", "source_label"])
-        strings: dict[MolGraph, str] = {}  # equal scaffolds are serialized once
-        for entry in library.entries:
-            if (smiles := strings.get(entry.scaffold)) is None:
-                smiles = strings[entry.scaffold] = to_smiles(entry.scaffold)
-            writer.writerow([smiles, entry.cluster_id, 1])
+    entries = library.entries
+    strings = {s: to_smiles(s) for s in {e.scaffold for e in entries}}  # each scaffold once
+    rows = ((strings[e.scaffold], e.cluster_id, 1) for e in entries)
+    write_csv(path, ["scaffold_smiles", "cluster_id", "source_label"], rows)

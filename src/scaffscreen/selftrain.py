@@ -41,7 +41,6 @@ reproduce the history and weights bit for bit.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import json
 import math
@@ -50,6 +49,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from .artifacts import read_json, write_csv
 from .chem.graph import MolGraph
 from .fingerprints import DEFAULT_NBITS, DEFAULT_RADIUS, ecfps, fingerprint_matrix
 from .metrics import bedroc_of_order
@@ -446,17 +446,15 @@ def self_train_cells(
 
 
 def write_history_csv(path, history: Sequence[EpochRecord]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["epoch", "loss", "val_bedroc", "n_pseudo"])
-        for record in history:
-            writer.writerow(
-                [record.epoch, repr(record.loss), repr(record.val_bedroc), record.n_pseudo]
-            )
+    write_csv(
+        path,
+        ["epoch", "loss", "val_bedroc", "n_pseudo"],
+        ((r.epoch, repr(r.loss), repr(r.val_bedroc), r.n_pseudo) for r in history),
+    )
 
 
 def save_checkpoint(path, model: FingerprintClassifier) -> None:
-    """Versioned JSON checkpoint: feature configuration plus parameters."""
+    """Versioned JSON checkpoint: feature configuration plus parameters, compact."""
     payload = {
         "version": CHECKPOINT_VERSION,
         "radius": model.radius,
@@ -470,8 +468,7 @@ def save_checkpoint(path, model: FingerprintClassifier) -> None:
 
 
 def load_checkpoint(path) -> FingerprintClassifier:
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
+    payload = read_json(path)
     version = payload.get("version")
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {version!r}")

@@ -657,6 +657,49 @@ def test_augmentation_falls_back_below_the_requested_k_range():
     assert products.model.k == 1
 
 
+def test_augmentation_uses_one_cluster_when_k_min_exceeds_the_distinct_fingerprints():
+    # Four ring-bearing actives, but only two distinct scaffolds: benzene and pyridine.
+    records = [
+        _record("a1", "Cc1ccccc1", 1),
+        _record("a2", "CCc1ccccc1", 1),
+        _record("a3", "OCc1ccccc1", 1),
+        _record("a4", "Cc1ccncc1", 1),
+        _record("d1", "CCO", 0),
+    ]
+    config = RunConfig(timesteps=5, library_fraction=0.5, nbits=256, k_min=3)
+    products = augment_split(records, config, seed=3)
+    assert products.model.k == 1
+    assert products.model.degenerate
+    assert products.report.total == len(products.library.entries) > 0
+
+
+def test_depth_metrics_are_noted_not_fatal_below_top_k():
+    ranked = RankedList.from_records(
+        [("a", 0.9, 1), ("b", 0.5, 0), ("c", 0.4, 1), ("d", 0.1, 0), ("e", 0.0, 0)]
+    )
+    mols = {rid: parse_smiles("c1ccccc1") for rid in ranked.ids}
+    notes: list[str] = []
+    values = runner.cell_metrics(ranked, mols, RunConfig(top_k=10), notes, "cell")
+    assert set(values) == {"logauc", "bedroc"}
+    assert notes == ["cell: fewer than 10 records, depth metrics skipped"]
+
+
+def test_a_run_whose_top_k_exceeds_every_test_fold_completes(mini_config, tmp_path):
+    # 150 records give test folds of 30; the pooled rankings hold all 150.
+    config = dataclasses.replace(mini_config, top_k=100, augment_enabled=False, seed=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        run_dir = run_experiment(config, tmp_path / "run")
+    notes = json.loads((run_dir / "report" / "notes.json").read_text())["notes"]
+    for i in range(5):
+        assert f"split{i}/seed0: fewer than 100 records, depth metrics skipped" in notes
+        cell = run_dir / "splits" / f"split{i}" / "seed0"
+        assert set(json.loads((cell / "metrics.json").read_text())) == {"logauc", "bedroc"}
+    pooled = json.loads((run_dir / "report" / "pooled_metrics.json").read_text())
+    assert {"ef100", "dcg100", "sd100"} <= set(pooled["per_seed"][0])
+    assert (run_dir / "manifest.json").is_file()
+
+
 # --- experiment runner ----------------------------------------------------
 
 
@@ -917,6 +960,20 @@ def test_the_report_notes_the_skip_rerank_cell_gives_a_cell_without_actives(
         rebuild_report(copy)
     notes = json.loads((copy / "report" / "notes.json").read_text())["notes"]
     assert f"split0/seed0: {note}" in notes
+
+
+def test_read_generated_pool_rejects_another_header(mini_run, tmp_path):
+    text = (mini_run / "splits" / "split0" / "generated.csv").read_text(encoding="utf-8")
+    lines = text.splitlines()
+    # A file with the columns in another order, and one cut down to the ids.
+    swapped = ["smiles,id,cluster_id,valid"] + [
+        ",".join([row[1], row[0], *row[2:]]) for row in (line.split(",") for line in lines[1:])
+    ]
+    ids_only = [line.split(",")[0] for line in lines]
+    for name, rows in (("swapped", swapped), ("ids", ids_only)):
+        path = _write(tmp_path / f"{name}.csv", "\n".join(rows) + "\n")
+        with pytest.raises(ValueError, match=f"{name}.csv: unexpected generated header"):
+            runner.read_generated_pool(path)
 
 
 GOLDEN_FILES = Path(__file__).parent / "data" / "mini_run_files.json"
@@ -1201,6 +1258,37 @@ def test_cli_stage_chain_reproduces_the_orchestrated_cell(
 
     sweep_lines = rerank.read_text().splitlines()
     assert [line.split(",")[0] for line in sweep_lines[1:]] == ["0", "0.5", "1"]
+
+
+def test_cli_rerank_reproduces_each_rerank_csv_of_the_run(mini_run, tmp_path, capsys):
+    swept = 0
+    for i in range(5):
+        cell = mini_run / "splits" / f"split{i}" / "seed0"
+        out = tmp_path / f"rerank{i}.csv"
+        args = ["--config", str(mini_run / "config.ini"), "--scores", str(cell / "scores.csv")]
+        assert main(["rerank", *args, "--out", str(out)]) == 0
+        assert out.read_bytes() == (cell / "rerank.csv").read_bytes()
+        swept += len(out.read_text().splitlines()) - 1
+    capsys.readouterr()
+    assert swept > 0
+
+
+def test_cli_evaluate_reports_an_empty_scores_file(tmp_path, capsys):
+    scores = _write(tmp_path / "scores.csv", "")
+    rc = main(["evaluate", "--scores", str(scores), "--out", str(tmp_path / "metrics.json")])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {scores}: unexpected scores header None\n"
+    assert not (tmp_path / "metrics.json").exists()
+
+
+def test_cli_lambda_sweep_goes_through_the_config_parser(tmp_path, capsys):
+    scores = tmp_path / "scores.csv"
+    write_scores_csv(scores, [("a", "C", 1.0, 1), ("b", "CC", 0.5, 0)])
+    out = tmp_path / "rerank.csv"
+    rc = main(["rerank", "--scores", str(scores), "--lambda-sweep", "0,x", "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: bad lambda grid '0,x'\n"
+    assert not out.exists()
 
 
 def test_cli_run_without_augmentation_skips_generation(
