@@ -2,9 +2,10 @@
 
 CSV files are UTF-8 with one header row and ``\\n`` row ends; a reader
 names the header it expects and rejects any other, an empty file
-included. JSON files are UTF-8 with a two-space indent, sorted keys and a
-final newline. Report figures are rounded to ``DECIMALS`` places; scores
-and training history keep full float precision.
+included, and any row whose width is not the header's. JSON files are
+UTF-8 with a two-space indent, sorted keys and a final newline. Report
+figures are rounded to ``DECIMALS`` places; scores and training history
+keep full float precision.
 """
 
 from __future__ import annotations
@@ -26,13 +27,22 @@ def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
 
 
 def read_csv(path, header: Sequence[str], kind: str) -> list[list[str]]:
-    """The rows under ``header``; a ``ValueError`` names a ``kind`` file headed otherwise."""
+    """The rows under ``header``; a ``ValueError`` names a ``kind`` file headed
+    otherwise, or the file and line of a row whose width is not the header's."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         found = next(reader, None)
         if found != list(header):
             raise ValueError(f"{path}: unexpected {kind} header {found!r}")
-        return list(reader)
+        rows = []
+        for row in reader:
+            if len(row) != len(found):
+                raise ValueError(
+                    f"{path}:{reader.line_num}: {kind} row has {len(row)} fields,"
+                    f" its header {len(found)}"
+                )
+            rows.append(row)
+        return rows
 
 
 def write_json(path, payload: dict) -> None:

@@ -289,17 +289,8 @@ def parse_smiles(text: str) -> MolGraph:
     return MolGraph(atoms, bonds)
 
 
-def _atom_token(atom: Atom) -> str:
-    symbol = atom.element.lower() if atom.aromatic else atom.element
-    plain = (
-        atom.charge == 0
-        and atom.explicit_h == 0
-        and atom.element in ORGANIC_SUBSET
-        and (not atom.aromatic or atom.element in AROMATIC_CAPABLE)
-    )
-    if plain:
-        return symbol
-    parts = ["[", symbol]
+def _bracket_token(atom: Atom) -> str:
+    parts = ["[", atom.element.lower() if atom.aromatic else atom.element]
     if atom.explicit_h == 1:
         parts.append("H")
     elif atom.explicit_h > 1:
@@ -312,89 +303,86 @@ def _atom_token(atom: Atom) -> str:
     return "".join(parts)
 
 
-def _bond_token(order: BondOrder, a: Atom, b: Atom) -> str:
-    both_aromatic = a.aromatic and b.aromatic
-    if order is BondOrder.AROMATIC:
-        return "" if both_aromatic else ":"
-    if order is BondOrder.SINGLE:
-        # An unadorned bond between aromatic atoms would read back as aromatic.
-        return "-" if both_aromatic else ""
-    return "=" if order is BondOrder.DOUBLE else "#"
-
-
-def _ring_digit(number: int) -> str:
-    return str(number) if number < 10 else f"%{number:02d}"
+# An atom with no charge and no bracket hydrogens is written as its bare
+# symbol: every element an Atom admits is in the organic subset.
+_AROMATIC_SYMBOLS = {element: element.lower() for element in AROMATIC_CAPABLE}
+# _BOND_TOKENS[both ends aromatic][order]. A single bond between aromatic
+# atoms is written "-", since an unadorned one would read back as aromatic.
+_BOND_TOKENS = (("", "", "=", "#", ":"), ("", "-", "=", "#", ""))
+_RING_DIGITS = ("", *map(str, range(1, 10)), *(f"%{number}" for number in range(10, 100)))
 
 
 def to_smiles(mol: MolGraph) -> str:
-    """Serialize a connected graph to SMILES, depth-first from atom 0."""
-    components = mol.connected_components()
-    if len(components) > 1:
+    """Serialize a connected graph to SMILES, depth-first from atom 0.
+
+    Neighbours are visited in ascending index order. A ring bond opens at
+    the atom visited first with the smallest free digit (``%nn`` from 10),
+    which is free again from the atom after the one it closes at. Raises
+    :class:`SerializationError` for a disconnected graph or when more than 99
+    ring bonds would be open at once. There is no recursion, hence no size limit.
+    """
+    atoms, adj, bonds = mol._atoms, mol._adj, mol._bonds
+    n = len(atoms)
+    # An atom is discovered when its stack entry is popped, so pushing its
+    # neighbours in reverse visits them in ascending order, as recursion would.
+    # A discovered neighbour other than the parent is an ancestor: the ring
+    # bond opens there and closes here.
+    parent = [-1] * n
+    last_child = [-1] * (n + 1)  # the root's parent, -1, is the spare last slot
+    seen = [False] * n
+    order: list[int] = []
+    ring_bonds: dict[int, list[int]] = {}  # ancestor -> descendants, in visit order
+    stack = [(0, -1)]
+    while stack:
+        v, p = stack.pop()
+        if seen[v]:
+            continue
+        seen[v] = True
+        order.append(v)
+        parent[v] = p
+        last_child[p] = v
+        for w in reversed(adj[v]):
+            if not seen[w]:
+                stack.append((w, v))
+            elif w != p:
+                ring_bonds.setdefault(w, []).append(v)
+    if len(order) < n:
         raise SerializationError("cannot serialize a disconnected graph")
 
-    n = mol.n_atoms
-    parent: list[int | None] = [None] * n
-    discovery: dict[int, int] = {}
-    tree_children: list[list[int]] = [[] for _ in range(n)]
-    back_edges: list[list[int]] = [[] for _ in range(n)]
-
-    def dfs(v: int) -> None:
-        discovery[v] = len(discovery)
-        for w in mol.neighbors(v):
-            if w not in discovery:
-                parent[w] = v
-                tree_children[v].append(w)
-                dfs(w)
-            elif parent[v] != w and discovery[w] < discovery[v]:
-                back_edges[v].append(w)
-                back_edges[w].append(v)
-
-    dfs(0)
-
-    ring_number: dict[tuple[int, int], int] = {}
-    free_digits: list[int] = list(range(1, 100))
-    heapq.heapify(free_digits)
+    # In visit order, an atom's first child follows it directly; each later
+    # child closes the branch before it, and each child but the last opens
+    # one. An atom's ring closures come in the order their rings opened.
+    aromatic = [atom.aromatic for atom in atoms]
+    free_digits = list(range(1, 100))  # sorted, so already a heap
+    closing: dict[int, list[tuple[int, int]]] = {}  # atom -> (ancestor, digit)
     pieces: list[str] = []
-
-    def emit_ring_tokens(v: int) -> None:
-        released: list[int] = []
-        opens: list[int] = []
-        for w in sorted(back_edges[v], key=lambda u: discovery[u]):
-            key = (v, w) if v < w else (w, v)
-            if key in ring_number:
-                number = ring_number.pop(key)
-                order_vw = mol.bond(v, w)
-                assert order_vw is not None
-                pieces.append(_bond_token(order_vw, mol.atoms[v], mol.atoms[w]))
-                pieces.append(_ring_digit(number))
-                released.append(number)
-            else:
-                opens.append(w)
-        for w in opens:
-            key = (v, w) if v < w else (w, v)
+    prev = -1
+    for v in order:
+        p = parent[v]
+        if p >= 0:
+            if prev != p:
+                pieces.append(")")
+            if last_child[p] != v:
+                pieces.append("(")
+            order_pv = bonds[(p, v) if p < v else (v, p)]
+            pieces.append(_BOND_TOKENS[aromatic[p] and aromatic[v]][order_pv])
+        atom = atoms[v]
+        if atom.charge or atom.explicit_h:
+            pieces.append(_bracket_token(atom))
+        else:
+            pieces.append(_AROMATIC_SYMBOLS[atom.element] if atom.aromatic else atom.element)
+        prev = v
+        closed = closing.pop(v, ())
+        for a, digit in closed:
+            order_av = bonds[(a, v) if a < v else (v, a)]
+            pieces.append(_BOND_TOKENS[aromatic[a] and aromatic[v]][order_av])
+            pieces.append(_RING_DIGITS[digit])
+        for d in ring_bonds.get(v, ()):
             if not free_digits:
                 raise SerializationError("ring closure digits exhausted")
-            number = heapq.heappop(free_digits)
-            ring_number[key] = number
-            pieces.append(_ring_digit(number))
-        for number in released:
-            heapq.heappush(free_digits, number)
-
-    def walk(v: int) -> None:
-        pieces.append(_atom_token(mol.atoms[v]))
-        emit_ring_tokens(v)
-        children = tree_children[v]
-        for idx, child in enumerate(children):
-            bond = mol.bond(v, child)
-            assert bond is not None
-            token = _bond_token(bond, mol.atoms[v], mol.atoms[child])
-            last = idx == len(children) - 1
-            if not last:
-                pieces.append("(")
-            pieces.append(token)
-            walk(child)
-            if not last:
-                pieces.append(")")
-
-    walk(0)
+            digit = heapq.heappop(free_digits)
+            closing.setdefault(d, []).append((v, digit))
+            pieces.append(_RING_DIGITS[digit])
+        for _, digit in closed:
+            heapq.heappush(free_digits, digit)
     return "".join(pieces)

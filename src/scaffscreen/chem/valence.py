@@ -59,79 +59,70 @@ def allowed_valences(atom: Atom) -> tuple[int, ...]:
     return base
 
 
-def _connection_totals(atom: Atom, plain: float, aromatic_count: int) -> list[float]:
-    """Candidate valence totals of an atom (alternatives for aromatics).
-
-    ``plain`` sums the atom's non-aromatic bond orders; ``aromatic_count``
-    counts its aromatic bonds.
-    """
-    base = plain + atom.explicit_h
-    totals = [base + (aromatic_count + aromatic_count // 2)]
+def _least_total(atom: Atom, plain: int, aromatic_count: int) -> int:
+    """The smaller connection total of an atom with these bond sums (see above)."""
     if aromatic_count >= 2 and atom.element in _LONE_PAIR_DONORS:
-        totals.append(base + aromatic_count)
-    return totals
+        return plain + atom.explicit_h + aromatic_count
+    return plain + atom.explicit_h + aromatic_count + aromatic_count // 2
 
 
-def _bond_sums(mol: MolGraph) -> tuple[list[float], list[int]]:
-    """Each atom's plain bond-order total and aromatic bond count, in one pass.
+def remaining_capacity(mol: MolGraph, i: int) -> int:
+    """How many additional single bonds atom ``i`` could accept, never below 0.
 
-    The plain totals add 1.0, 2.0 and 3.0 only, so they are exact in any order.
+    Uses the most permissive allowed valence against the most favourable
+    connection accounting, so the answer is exact for single-bond additions.
     """
-    plain = [0.0] * mol.n_atoms
-    aromatic = [0] * mol.n_atoms
-    for (i, j), order in mol.bonds.items():
+    bonds = mol._bonds
+    plain = aromatic_count = 0
+    for j in mol._adj[i]:
+        order = bonds[(i, j) if i < j else (j, i)]
+        if order is BondOrder.AROMATIC:
+            aromatic_count += 1
+        else:
+            plain += order
+    atom = mol._atoms[i]
+    spare = max(allowed_valences(atom)) - _least_total(atom, plain, aromatic_count)
+    return spare if spare > 0 else 0
+
+
+# The largest valence of each element: the one bound a plain atom is held to.
+_PLAIN_LIMITS = {element: max(limits) for element, limits in ALLOWED_VALENCES.items()}
+
+
+def check_valence(mol: MolGraph) -> ValidityReport:
+    """Check every atom against the valence table.
+
+    Returns a report with one violation per offending atom, in index order; a
+    molecule is valid exactly when the violation list is empty. A plain atom
+    (not aromatic, uncharged, no bracket H, no aromatic bond) needs only its
+    bond orders under its element's largest valence.
+    """
+    atoms = mol._atoms
+    plain = [0] * len(atoms)
+    aromatic = [0] * len(atoms)
+    for (i, j), order in mol._bonds.items():
         if order is BondOrder.AROMATIC:
             aromatic[i] += 1
             aromatic[j] += 1
         else:
             plain[i] += order
             plain[j] += order
-    return plain, aromatic
-
-
-def remaining_capacity(mol: MolGraph, i: int) -> int:
-    """How many additional single bonds atom ``i`` could accept.
-
-    Uses the most permissive allowed valence against the most favourable
-    connection accounting, so the answer is exact for single-bond additions.
-    """
-    atom = mol.atoms[i]
-    orders = [mol.bond(i, j) for j in mol.neighbors(i)]
-    aromatic_count = orders.count(BondOrder.AROMATIC)
-    plain = sum((float(order) for order in orders if order is not BondOrder.AROMATIC), 0.0)
-    spare = max(allowed_valences(atom)) - min(_connection_totals(atom, plain, aromatic_count))
-    return max(0, int(spare))
-
-
-def check_valence(mol: MolGraph) -> ValidityReport:
-    """Check every atom against the valence table.
-
-    Returns a report with one violation per offending atom; a molecule is
-    valid exactly when the violation list is empty.
-    """
     violations: list[ValenceViolation] = []
-    plain, aromatic = _bond_sums(mol)
-    for i, atom in enumerate(mol.atoms):
-        aromatic_count = aromatic[i]
-        if aromatic_count and not atom.aromatic:
-            violations.append(
-                ValenceViolation(i, "aromatic bond on a non-aromatic atom")
-            )
+    for i, atom in enumerate(atoms):
+        if plain[i] <= _PLAIN_LIMITS[atom.element] and not (
+            aromatic[i] or atom.aromatic or atom.charge or atom.explicit_h
+        ):
             continue
-        if atom.aromatic and aromatic_count < 2:
-            violations.append(
-                ValenceViolation(i, "aromatic atom needs at least two aromatic bonds")
-            )
-            continue
-        limits = allowed_valences(atom)
-        totals = _connection_totals(atom, plain[i], aromatic_count)
-        if not any(total <= limit for total in totals for limit in limits):
+        if aromatic[i] and not atom.aromatic:
+            reason = "aromatic bond on a non-aromatic atom"
+        elif atom.aromatic and aromatic[i] < 2:
+            reason = "aromatic atom needs at least two aromatic bonds"
+        else:
+            limits = allowed_valences(atom)
+            total = _least_total(atom, plain[i], aromatic[i])
+            if total <= max(limits):
+                continue
             label = atom.element if not atom.charge else f"{atom.element}{atom.charge:+d}"
-            violations.append(
-                ValenceViolation(
-                    i,
-                    f"connection total {min(totals):g} exceeds allowed valences"
-                    f" {limits} for {label}",
-                )
-            )
+            reason = f"connection total {total:g} exceeds allowed valences {limits} for {label}"
+        violations.append(ValenceViolation(i, reason))
     return ValidityReport(tuple(violations))

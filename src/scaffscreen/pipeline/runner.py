@@ -353,9 +353,11 @@ def write_scores_csv(path: Path, rows: Sequence[tuple[str, str, float, int]]) ->
 
 
 def read_scores_csv(path: Path) -> list[tuple[str, str, float, int]]:
-    return [
-        (r, smi, float(s), int(y)) for r, smi, s, y in read_csv(path, _SCORES_HEADER, "scores")
-    ]
+    """The rows of a scores file; a ``ValueError`` names a file with none."""
+    rows = read_csv(path, _SCORES_HEADER, "scores")
+    if not rows:
+        raise ValueError(f"{path}: no scores under the header")
+    return [(r, smi, float(s), int(y)) for r, smi, s, y in rows]
 
 
 def cell_metrics(

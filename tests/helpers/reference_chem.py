@@ -1,4 +1,4 @@
-"""The chemistry core as it was before its one-pass rewrite, kept as the exactness reference.
+"""The chemistry core as it was before its one-pass rewrites, kept as the exactness reference.
 
 These are the earlier ``MolGraph.__init__`` (as ``ReferenceGraph``), the
 earlier ``parse_smiles`` with its bracket reader, ``check_valence`` with its
@@ -6,18 +6,26 @@ two bond lookups per neighbour, and ``compute_marginals`` with one float64
 ``+=`` per bond. The function bodies are unchanged, so the tests can require
 the live code to give the same atoms, bonds in order, neighbours, errors,
 reports and marginal arrays bit for bit.
+
+From the writer's rewrite come the recursive ``to_smiles`` with
+``_atom_token``, ``_bond_token`` and ``_ring_digit``, and
+``remaining_capacity`` with the ``_connection_totals`` it called (here
+``_capacity_totals``, since the name above is the older reader's). They take
+a live :class:`MolGraph`. ``reference_to_smiles`` recurses once per atom, so
+it is a reference only for graphs well under the interpreter's recursion limit.
 """
 
 from __future__ import annotations
 
 import functools
+import heapq
 import warnings
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from scaffscreen.chem.graph import Atom, BondOrder, MolGraph
-from scaffscreen.chem.smiles import ParseError, SmilesFeatureWarning
+from scaffscreen.chem.graph import AROMATIC_CAPABLE, ORGANIC_SUBSET, Atom, BondOrder, MolGraph
+from scaffscreen.chem.smiles import ParseError, SerializationError, SmilesFeatureWarning
 from scaffscreen.chem.valence import ValenceViolation, ValidityReport, allowed_valences
 from scaffscreen.diffusion.marginals import EDGE_NONE, N_EDGE_CATEGORIES, Marginals
 
@@ -402,3 +410,141 @@ def reference_compute_marginals(mols: Sequence[MolGraph]) -> Marginals:
         sizes=sizes,
         size_probs=size_probs,
     )
+
+
+def _atom_token(atom: Atom) -> str:
+    symbol = atom.element.lower() if atom.aromatic else atom.element
+    plain = (
+        atom.charge == 0
+        and atom.explicit_h == 0
+        and atom.element in ORGANIC_SUBSET
+        and (not atom.aromatic or atom.element in AROMATIC_CAPABLE)
+    )
+    if plain:
+        return symbol
+    parts = ["[", symbol]
+    if atom.explicit_h == 1:
+        parts.append("H")
+    elif atom.explicit_h > 1:
+        parts.append(f"H{atom.explicit_h}")
+    if atom.charge:
+        sign = "+" if atom.charge > 0 else "-"
+        magnitude = abs(atom.charge)
+        parts.append(sign if magnitude == 1 else f"{sign}{magnitude}")
+    parts.append("]")
+    return "".join(parts)
+
+
+def _bond_token(order: BondOrder, a: Atom, b: Atom) -> str:
+    both_aromatic = a.aromatic and b.aromatic
+    if order is BondOrder.AROMATIC:
+        return "" if both_aromatic else ":"
+    if order is BondOrder.SINGLE:
+        # An unadorned bond between aromatic atoms would read back as aromatic.
+        return "-" if both_aromatic else ""
+    return "=" if order is BondOrder.DOUBLE else "#"
+
+
+def _ring_digit(number: int) -> str:
+    return str(number) if number < 10 else f"%{number:02d}"
+
+
+def reference_to_smiles(mol: MolGraph) -> str:
+    """Serialize a connected graph to SMILES, depth-first from atom 0."""
+    components = mol.connected_components()
+    if len(components) > 1:
+        raise SerializationError("cannot serialize a disconnected graph")
+
+    n = mol.n_atoms
+    parent: list[int | None] = [None] * n
+    discovery: dict[int, int] = {}
+    tree_children: list[list[int]] = [[] for _ in range(n)]
+    back_edges: list[list[int]] = [[] for _ in range(n)]
+
+    def dfs(v: int) -> None:
+        discovery[v] = len(discovery)
+        for w in mol.neighbors(v):
+            if w not in discovery:
+                parent[w] = v
+                tree_children[v].append(w)
+                dfs(w)
+            elif parent[v] != w and discovery[w] < discovery[v]:
+                back_edges[v].append(w)
+                back_edges[w].append(v)
+
+    dfs(0)
+
+    ring_number: dict[tuple[int, int], int] = {}
+    free_digits: list[int] = list(range(1, 100))
+    heapq.heapify(free_digits)
+    pieces: list[str] = []
+
+    def emit_ring_tokens(v: int) -> None:
+        released: list[int] = []
+        opens: list[int] = []
+        for w in sorted(back_edges[v], key=lambda u: discovery[u]):
+            key = (v, w) if v < w else (w, v)
+            if key in ring_number:
+                number = ring_number.pop(key)
+                order_vw = mol.bond(v, w)
+                assert order_vw is not None
+                pieces.append(_bond_token(order_vw, mol.atoms[v], mol.atoms[w]))
+                pieces.append(_ring_digit(number))
+                released.append(number)
+            else:
+                opens.append(w)
+        for w in opens:
+            key = (v, w) if v < w else (w, v)
+            if not free_digits:
+                raise SerializationError("ring closure digits exhausted")
+            number = heapq.heappop(free_digits)
+            ring_number[key] = number
+            pieces.append(_ring_digit(number))
+        for number in released:
+            heapq.heappush(free_digits, number)
+
+    def walk(v: int) -> None:
+        pieces.append(_atom_token(mol.atoms[v]))
+        emit_ring_tokens(v)
+        children = tree_children[v]
+        for idx, child in enumerate(children):
+            bond = mol.bond(v, child)
+            assert bond is not None
+            token = _bond_token(bond, mol.atoms[v], mol.atoms[child])
+            last = idx == len(children) - 1
+            if not last:
+                pieces.append("(")
+            pieces.append(token)
+            walk(child)
+            if not last:
+                pieces.append(")")
+
+    walk(0)
+    return "".join(pieces)
+
+
+def _capacity_totals(atom: Atom, plain: float, aromatic_count: int) -> list[float]:
+    """Candidate valence totals of an atom (alternatives for aromatics).
+
+    ``plain`` sums the atom's non-aromatic bond orders; ``aromatic_count``
+    counts its aromatic bonds.
+    """
+    base = plain + atom.explicit_h
+    totals = [base + (aromatic_count + aromatic_count // 2)]
+    if aromatic_count >= 2 and atom.element in _LONE_PAIR_DONORS:
+        totals.append(base + aromatic_count)
+    return totals
+
+
+def reference_remaining_capacity(mol: MolGraph, i: int) -> int:
+    """How many additional single bonds atom ``i`` could accept.
+
+    Uses the most permissive allowed valence against the most favourable
+    connection accounting, so the answer is exact for single-bond additions.
+    """
+    atom = mol.atoms[i]
+    orders = [mol.bond(i, j) for j in mol.neighbors(i)]
+    aromatic_count = orders.count(BondOrder.AROMATIC)
+    plain = sum((float(order) for order in orders if order is not BondOrder.AROMATIC), 0.0)
+    spare = max(allowed_valences(atom)) - min(_capacity_totals(atom, plain, aromatic_count))
+    return max(0, int(spare))

@@ -76,6 +76,20 @@ def test_read_csv_rejects_another_header(tmp_path, text, found):
     assert str(excinfo.value) == f"{path}: unexpected test header {found}"
 
 
+@pytest.mark.parametrize(
+    "text, line, width",
+    [("a,b\n1,2\n3\n", 3, 1), ("a,b\n1,2,3\n", 2, 3), ("a,b\n\n1,2\n", 2, 0),
+     ('a,b\n"x\ny",1\n1\n', 4, 1)],
+    ids=["short", "long", "blank", "after-a-quoted-newline"],
+)
+def test_read_csv_rejects_a_row_of_another_width(tmp_path, text, line, width):
+    path = tmp_path / "t.csv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError) as excinfo:
+        read_csv(path, ["a", "b"], "test")
+    assert str(excinfo.value) == f"{path}:{line}: test row has {width} fields, its header 2"
+
+
 def test_json_bytes(tmp_path):
     path = tmp_path / "t.json"
     payload = {"b": [1, 0.5], "a": {"y": None, "x": "é"}}

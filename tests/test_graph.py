@@ -1,9 +1,10 @@
 """MolGraph's constructor contract, and the chemistry core against its reference.
 
 ``helpers/reference_chem.py`` keeps the earlier constructor, parser, valence
-check and marginal counts. The live code must give the same atoms, the same
-bonds in the same order, the same neighbours, errors and reports, and
-marginal arrays equal bit for bit.
+check, writer, capacity count and marginal counts. The live code must give
+the same atoms, the same bonds in the same order, the same neighbours,
+errors, reports, SMILES strings and capacities, and marginal arrays equal
+bit for bit.
 """
 
 from __future__ import annotations
@@ -15,14 +16,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scaffscreen.chem import Atom, BondOrder, MolGraph, check_valence, parse_smiles
-from scaffscreen.chem.smiles import ParseError, SmilesFeatureWarning
+from scaffscreen.chem import (
+    Atom,
+    BondOrder,
+    MolGraph,
+    check_valence,
+    parse_smiles,
+    remaining_capacity,
+    to_smiles,
+)
+from scaffscreen.chem.smiles import ParseError, SerializationError, SmilesFeatureWarning
 from scaffscreen.diffusion import compute_marginals
 from helpers.reference_chem import (
     ReferenceGraph,
     reference_check_valence,
     reference_compute_marginals,
     reference_parse_smiles,
+    reference_remaining_capacity,
+    reference_to_smiles,
 )
 
 C, N = Atom("C"), Atom("N")
@@ -104,12 +115,28 @@ def _same_marginals(live, ref) -> None:
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field
 
 
+def _written(write, mol: MolGraph):
+    """The SMILES ``write`` gives, or its exception's type and message."""
+    try:
+        return write(mol)
+    except SerializationError as exc:
+        return (type(exc), str(exc))
+
+
+def _same_writer_and_capacities(mol: MolGraph) -> None:
+    assert _written(to_smiles, mol) == _written(reference_to_smiles, mol)
+    assert [remaining_capacity(mol, i) for i in range(mol.n_atoms)] == [
+        reference_remaining_capacity(mol, i) for i in range(mol.n_atoms)
+    ]
+
+
 def _check_corpus(smiles: list[str]) -> None:
     mols = []
     for text in smiles:
         mol, ref = parse_smiles(text), reference_parse_smiles(text)
         _same_graph(mol, ref)
         assert check_valence(mol) == reference_check_valence(ref)
+        _same_writer_and_capacities(mol)
         mols.append(mol)
     _same_marginals(compute_marginals(mols), reference_compute_marginals(mols))
 
@@ -162,7 +189,54 @@ def test_random_graphs_match_the_reference(case):
         return
     _same_graph(mol, ref)
     assert check_valence(mol) == reference_check_valence(ref)
+    _same_writer_and_capacities(mol)
     _same_marginals(compute_marginals([mol]), reference_compute_marginals([mol]))
+
+
+# Aromatic and plain atoms, charged and H-bearing bracket atoms.
+_WRITER_ATOMS = [
+    *_ATOMS, Atom("O", aromatic=True), Atom("C", charge=-1), Atom("N", explicit_h=2),
+    Atom("S", charge=1, explicit_h=3), Atom("B", charge=-2, explicit_h=4), Atom("Br"),
+]
+
+
+@st.composite
+def ring_rich_graphs(draw):
+    """Up to 24 atoms, mostly connected, some with ten or more rings open at once."""
+    n = draw(st.integers(min_value=1, max_value=24))
+    atoms = draw(st.lists(st.sampled_from(_WRITER_ATOMS), min_size=n, max_size=n))
+    orders = st.sampled_from(list(BondOrder))
+    bonds = {}
+    if draw(st.integers(min_value=0, max_value=4)):
+        for child in range(1, n):
+            bonds[(draw(st.integers(min_value=0, max_value=child - 1)), child)] = draw(orders)
+    if n > 1:
+        index = st.integers(min_value=0, max_value=n - 1)
+        pairs = st.tuples(index, index).filter(lambda p: p[0] < p[1])
+        bonds.update(draw(st.dictionaries(pairs, orders, max_size=5 * n)))
+    return MolGraph(atoms, bonds)
+
+
+@settings(max_examples=500, deadline=None)
+@given(ring_rich_graphs())
+def test_ring_rich_graphs_are_written_and_checked_as_the_reference(mol):
+    _same_writer_and_capacities(mol)
+    ref = ReferenceGraph(mol.atoms, mol.bonds)
+    assert check_valence(mol) == reference_check_valence(ref)
+
+
+@pytest.mark.parametrize("n", [2, 11, 12, 100, 101, 102, 103])
+def test_a_fan_of_rings_is_written_as_the_reference(n):
+    """Atom 0 bonds to each atom of the chain 1..n-1: n - 2 rings open at once."""
+    bonds = {(i, i + 1): BondOrder.SINGLE for i in range(n - 1)}
+    bonds.update({(0, j): BondOrder.AROMATIC for j in range(2, n)})
+    mol = MolGraph([Atom("C", aromatic=True)] * n, bonds)
+    _same_writer_and_capacities(mol)
+    written = _written(to_smiles, mol)
+    if n - 2 > 99:
+        assert written == (SerializationError, "ring closure digits exhausted")
+    else:
+        assert ("%" in written) == (n - 2 > 9)
 
 
 @settings(max_examples=60, deadline=None)

@@ -1281,6 +1281,25 @@ def test_cli_evaluate_reports_an_empty_scores_file(tmp_path, capsys):
     assert not (tmp_path / "metrics.json").exists()
 
 
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        (
+            "id,smiles,score,label\nb,CC,0.4,0\na,C,0.5\n",
+            "{}:3: scores row has 3 fields, its header 4",
+        ),
+        ("id,smiles,score,label\n", "{}: no scores under the header"),
+    ],
+    ids=["short-row", "header-only"],
+)
+def test_cli_evaluate_names_the_scores_file_it_cannot_read(tmp_path, capsys, text, error):
+    scores = _write(tmp_path / "scores.csv", text)
+    rc = main(["evaluate", "--scores", str(scores), "--out", str(tmp_path / "metrics.json")])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {error.format(scores)}\n"
+    assert not (tmp_path / "metrics.json").exists()
+
+
 def test_cli_lambda_sweep_goes_through_the_config_parser(tmp_path, capsys):
     scores = tmp_path / "scores.csv"
     write_scores_csv(scores, [("a", "C", 1.0, 1), ("b", "CC", 0.5, 0)])

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scaffscreen.chem import Atom, BondOrder, MolGraph, parse_smiles, to_smiles
+from scaffscreen.chem import Atom, BondOrder, MolGraph, check_valence, parse_smiles, to_smiles
 from scaffscreen.chem.smiles import ParseError, SerializationError, SmilesFeatureWarning
 
 # Strings the serializer reproduces verbatim; parse -> serialize is the
@@ -168,6 +168,34 @@ def test_serializing_disconnected_graph_fails():
     two_parts = MolGraph([Atom("C"), Atom("C")], {})
     with pytest.raises(SerializationError):
         to_smiles(two_parts)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "C" * 5000,
+        "C1" + "C(c2ccccc2)" * 2000 + "CC1",
+        "C" + "C(C1CC1)" * 1500 + "Cc1ccc(O)cc1",
+    ],
+    ids=["chain", "macrocycle-with-side-rings", "chain-with-side-rings"],
+)
+def test_long_graphs_round_trip(text):
+    # Each is deeper than the interpreter's default recursion limit.
+    mol = parse_smiles(text)
+    assert check_valence(mol).valid
+    assert to_smiles(mol) == text
+
+
+def test_more_than_nine_open_rings_take_two_digit_closures():
+    # Atom 0 bonds to every atom of the chain 1..12: eleven rings open at it
+    # and close one per atom from atom 2 on.
+    n = 13
+    bonds = {(i, i + 1): BondOrder.SINGLE for i in range(n - 1)}
+    bonds.update({(0, j): BondOrder.SINGLE for j in range(2, n)})
+    mol = MolGraph([Atom("C")] * n, bonds)
+    text = to_smiles(mol)
+    assert text == "C123456789%10%11CC1C2C3C4C5C6C7C8C9C%10C%11"
+    assert _isomorphic(parse_smiles(text), mol)
 
 
 def test_equal_graphs_hash_equal_and_the_hash_is_kept():
